@@ -14,10 +14,13 @@
 // machine-readable results as JSON (--json=PATH, default
 // BENCH_hotpath.json in the working directory); scripts/bench_trajectory.sh
 // runs it from a Release build and stores the JSON at the repo root.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,9 +62,11 @@ std::vector<DirId> build_fanout(fs::NamespaceTree& tree, std::size_t n_dirs) {
   return leaves;
 }
 
-/// Epoch-close cost at one shard count (1 shard = serial fold).
+/// Epoch-close cost at one shard count (1 shard = serial fold): the
+/// median per-epoch time over `timed_runs` repeated timed runs.
 struct ShardRow {
   int shards = 1;
+  int timed_runs = 0;
   double epoch_close_us = 0.0;
   double speedup_vs_1 = 1.0;
 };
@@ -147,14 +152,24 @@ void bench_epoch_close(SizeResult& r, std::size_t n_dirs, int timed_epochs) {
   r.epoch_close_speedup = r.epoch_close_off_us / r.epoch_close_on_us;
 }
 
+double median(std::vector<double> v) {
+  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  return *mid;
+}
+
 /// Epoch close + candidate collection on the worker pool at 1 / 2 / 4
 /// shards (the same per-chunk fold the sharded tick engine drives through
 /// MdsCluster::close_epoch).  One tree serves all shard counts: every
 /// epoch records and folds the same hot set, so after the warm-up the
 /// per-epoch work is identical regardless of which pool executes it.
+/// Each row is the median of kShardRuns timed runs of `timed_epochs`
+/// epochs; the runs interleave the shard counts, so a drift in host speed
+/// lands on every row alike instead of on whichever row ran during it.
 void bench_shard_scaling(SizeResult& r, std::size_t n_dirs,
                          int timed_epochs) {
   constexpr int kWarmEpochs = 6;
+  constexpr int kShardRuns = 5;
   const std::size_t stride = n_dirs / r.hot_dirs;
   fs::NamespaceTree tree;
   const std::vector<DirId> leaves = build_fanout(tree, n_dirs);
@@ -182,12 +197,25 @@ void bench_shard_scaling(SizeResult& r, std::size_t n_dirs,
     return elapsed;
   };
   run_epochs(kWarmEpochs, nullptr);
-  for (const int shards : {1, 2, 4}) {
-    WorkerPool pool(static_cast<std::size_t>(shards - 1));
+  constexpr int kShards[] = {1, 2, 4};
+  constexpr std::size_t kRows = std::size(kShards);
+  std::vector<std::unique_ptr<WorkerPool>> pools;
+  for (const int shards : kShards) {
+    pools.push_back(
+        std::make_unique<WorkerPool>(static_cast<std::size_t>(shards - 1)));
+  }
+  std::vector<std::vector<double>> samples(kRows);
+  for (int run = 0; run < kShardRuns; ++run) {
+    for (std::size_t k = 0; k < kRows; ++k) {
+      samples[k].push_back(run_epochs(timed_epochs, pools[k].get()) * 1e6 /
+                           timed_epochs);
+    }
+  }
+  for (std::size_t k = 0; k < kRows; ++k) {
     ShardRow row;
-    row.shards = shards;
-    row.epoch_close_us =
-        run_epochs(timed_epochs, &pool) * 1e6 / timed_epochs;
+    row.shards = kShards[k];
+    row.timed_runs = kShardRuns;
+    row.epoch_close_us = median(samples[k]);
     row.speedup_vs_1 = r.shard_rows.empty()
                            ? 1.0
                            : r.shard_rows.front().epoch_close_us /
@@ -240,6 +268,7 @@ void write_json(const std::string& path, const std::vector<SizeResult>& rs) {
     for (std::size_t s = 0; s < r.shard_rows.size(); ++s) {
       const ShardRow& row = r.shard_rows[s];
       out << (s > 0 ? ", " : "") << "{\"shards\": " << row.shards
+          << ", \"timed_runs\": " << row.timed_runs
           << ", \"epoch_close_us\": " << row.epoch_close_us
           << ", \"speedup_vs_1\": " << row.speedup_vs_1
           << (armed ? "" : ", \"unarmed\": true") << "}";

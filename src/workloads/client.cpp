@@ -1,16 +1,55 @@
 #include "workloads/client.h"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "common/assert.h"
 
 namespace lunule::workloads {
+
+namespace {
+constexpr std::size_t kInitialCacheSlots = 16;
+}  // namespace
 
 Client::Client(std::uint32_t id, ClientParams params,
                std::unique_ptr<WorkloadProgram> program)
     : id_(id), params_(params), program_(std::move(program)) {
   LUNULE_CHECK(program_ != nullptr);
   LUNULE_CHECK(params_.max_ops_per_tick > 0.0);
+}
+
+std::size_t Client::cache_probe(DirId dir) const {
+  // Fibonacci hashing: the top bits of a multiplicative hash spread both
+  // sequential and strided directory ids across the table.
+  const int bits = std::countr_zero(cache_.size());
+  const std::size_t mask = cache_.size() - 1;
+  std::size_t i = static_cast<std::size_t>(
+      (std::uint64_t{dir} * 0x9E3779B97F4A7C15ULL) >> (64 - bits));
+  while (cache_[i].dir != dir && cache_[i].dir != kNoDir) i = (i + 1) & mask;
+  return i;
+}
+
+Client::CacheSlot& Client::cache_slot(DirId dir) {
+  if (!cache_.empty() && cache_[cache_memo_].dir == dir) {
+    return cache_[cache_memo_];
+  }
+  // Grow before probing so an insert never lifts the load above 1/2.
+  if (2 * (cache_used_ + 1) > cache_.size()) {
+    const std::vector<CacheSlot> old = std::exchange(
+        cache_, std::vector<CacheSlot>(
+                    std::max(kInitialCacheSlots, 2 * cache_.size())));
+    for (const CacheSlot& s : old) {
+      if (s.dir != kNoDir) cache_[cache_probe(s.dir)] = s;
+    }
+  }
+  const std::size_t i = cache_probe(dir);
+  if (cache_[i].dir == kNoDir) {
+    cache_[i].dir = dir;
+    ++cache_used_;
+  }
+  cache_memo_ = i;
+  return cache_[i];
 }
 
 MdsId Client::op_rank(const mds::MdsCluster& cluster, const Op& op) const {
@@ -45,10 +84,6 @@ MdsId Client::shard_rank(const mds::MdsCluster& cluster, Tick now) const {
 MdsId Client::resolve_with_forwards(mds::MdsCluster& cluster, const Op& op,
                                     Tick now, mds::TickLane* lane) {
   const fs::NamespaceTree& tree = cluster.tree();
-  if (auth_cache_.size() < tree.dir_count()) {
-    auth_cache_.resize(tree.dir_count(), kNoMds);
-    lease_until_.resize(tree.dir_count(), -1);
-  }
   MdsId target;
   if (op.kind == OpKind::kCreate) {
     const FileIndex idx = tree.dir(op.dir).file_count();
@@ -61,9 +96,8 @@ MdsId Client::resolve_with_forwards(mds::MdsCluster& cluster, const Op& op,
   // client knows the directory's dirfrag->MDS map (like a CephFS client
   // holding the dirfrag tree), so per-frag routing does not re-traverse.
   const MdsId dir_auth = tree.auth_of(op.dir);
-  if (auth_cache_[op.dir] == dir_auth && now < lease_until_[op.dir]) {
-    return target;
-  }
+  CacheSlot& cached = cache_slot(op.dir);
+  if (cached.auth == dir_auth && now < cached.lease_until) return target;
   const std::uint64_t before = forwards_;
 
   // Cache miss or stale entry: the request traverses the path from the
@@ -89,8 +123,8 @@ MdsId Client::resolve_with_forwards(mds::MdsCluster& cluster, const Op& op,
     ++forwards_;
     cluster.charge_forward(prev, lane);
   }
-  auth_cache_[op.dir] = dir_auth;
-  lease_until_[op.dir] = now + params_.lease_ticks;
+  cached.auth = dir_auth;
+  cached.lease_until = now + params_.lease_ticks;
   // Each redirect costs the client a round trip: it consumes issue budget
   // just like an operation would (closed loop — forwards slow the client
   // down, which is how Dir-Hash's locality destruction hurts end-to-end

@@ -95,8 +95,26 @@ class Client {
   /// on saturated or frozen MDSs).
   [[nodiscard]] const Histogram& op_latency() const { return latency_; }
   [[nodiscard]] const ClientParams& params() const { return params_; }
+  /// Capacity of the location cache: O(directories this client resolved),
+  /// independent of the namespace size.
+  [[nodiscard]] std::size_t location_cache_slots() const {
+    return cache_.size();
+  }
 
  private:
+  /// One resolved directory: its last known authority and the tick the
+  /// lease on that knowledge expires.  `dir == kNoDir` marks an empty slot.
+  struct CacheSlot {
+    DirId dir = kNoDir;
+    MdsId auth = kNoMds;
+    Tick lease_until = -1;
+  };
+
+  /// The slot for `dir`, inserted as (kNoMds, -1) — a miss — when absent.
+  CacheSlot& cache_slot(DirId dir);
+  /// Index where `dir` lives or would be inserted (linear probing).
+  [[nodiscard]] std::size_t cache_probe(DirId dir) const;
+
   /// Resolves the op's authoritative MDS, counting and charging forwards
   /// when this client's location cache is stale along the path.
   MdsId resolve_with_forwards(mds::MdsCluster& cluster, const Op& op,
@@ -132,10 +150,16 @@ class Client {
   /// Ops served so far in the current tick, across both calls.
   std::uint32_t tick_served_ = 0;
 
-  // Location cache: last known authority per directory (kNoMds = unknown)
-  // plus the tick the lease on that knowledge expires.
-  std::vector<MdsId> auth_cache_;
-  std::vector<Tick> lease_until_;
+  // Location cache: open-addressing table (power-of-two capacity, linear
+  // probing, load <= 1/2) holding only the directories this client has
+  // resolved, so its size follows the client's working set rather than
+  // the namespace.  An absent directory reads as (kNoMds, -1), exactly
+  // like an entry that was never filled.  `cache_memo_` is the last slot
+  // used: the pacer issues runs of ops on one directory, which then hit
+  // without probing.  Private to the client, so rank streams need no lock.
+  std::vector<CacheSlot> cache_;
+  std::size_t cache_used_ = 0;
+  std::size_t cache_memo_ = 0;
 };
 
 }  // namespace lunule::workloads

@@ -106,6 +106,91 @@ TEST_F(ClientTest, StaleCacheReforwardsAfterMigration) {
   EXPECT_GT(client.forwards(), before);
 }
 
+TEST_F(ClientTest, LeaseExpiryAloneRetraverses) {
+  tree.set_auth(dirs[1], 2);
+  mds::MdsCluster cluster(tree, cp);
+  constexpr Tick kLease = 5;
+  Client client(0, {.max_ops_per_tick = 10.0, .lease_ticks = kLease},
+                scan_of(dirs[1], 100));
+  std::uint32_t served[kLease + 1] = {};
+  std::uint64_t fwd[kLease + 1] = {};
+  for (Tick t = 0; t <= kLease; ++t) {
+    cluster.begin_tick(t);
+    served[t] = client.run_tick(cluster, nullptr, t);
+    cluster.end_tick();
+    fwd[t] = client.forwards();
+  }
+  // Tick 0 resolves / -> /w -> /w/client1: one forward, one op of budget.
+  EXPECT_EQ(fwd[0], 1u);
+  EXPECT_EQ(served[0], 9u);
+  // No authority moved, so the lease alone keeps the entry valid through
+  // tick lease_ticks - 1 ...
+  for (Tick t = 1; t < kLease; ++t) {
+    EXPECT_EQ(fwd[t], 1u) << "tick " << t;
+    EXPECT_EQ(served[t], 10u) << "tick " << t;
+  }
+  // ... and at tick lease_ticks it expires: the path is re-traversed and
+  // the forward is counted, charged to the MDS and paid from the budget.
+  EXPECT_EQ(fwd[kLease], 2u);
+  EXPECT_EQ(served[kLease], 9u);
+  EXPECT_EQ(cluster.total_forwards(), 2u);
+}
+
+TEST(ClientGrowthTest, ManyDirsWithMigrationMatchPinnedCounts) {
+  // One client scans 6000 distinct dirs (two files each), then scans them
+  // again in reverse, over scattered authority pins and a mid-run
+  // migration of their parent.  The reverse pass revisits dirs after
+  // every gap from ~0 to ~2x the lease, so it mixes lease hits (also on
+  // entries that lived through rehashes), lease expiry and migration
+  // staleness.  The location cache grows through several rehashes; the
+  // forward and op counts are pinned from the dense per-dir arrays it
+  // replaced.
+  fs::NamespaceTree tree;
+  const std::vector<DirId> dirs = fs::build_private_dirs(tree, "g", 6000, 2);
+  for (std::size_t i = 0; i < dirs.size(); i += 7) {
+    tree.set_auth(dirs[i], static_cast<MdsId>(1 + i % 2));
+  }
+  mds::ClusterParams cp;
+  cp.n_mds = 3;
+  cp.mds_capacity_iops = 1e6;
+  cp.epoch_ticks = 1;
+  mds::MdsCluster cluster(tree, cp);
+  std::vector<DirId> order = dirs;
+  order.insert(order.end(), dirs.rbegin(), dirs.rend());
+  const std::vector<std::uint32_t> files(order.size(), 2);
+  Client client(0, {.max_ops_per_tick = 400.0, .lease_ticks = 40},
+                std::make_unique<ScanProgram>(order, files, 1.0 - 1e-9));
+  for (Tick t = 0; t < 75; ++t) {
+    if (t == 10) tree.set_auth(tree.parent(dirs[0]), 2);
+    cluster.begin_tick(t);
+    client.run_tick(cluster, nullptr, t);
+    cluster.end_tick();
+  }
+  EXPECT_EQ(client.forwards(), 7180u);
+  EXPECT_EQ(client.meta_ops_completed(), 22820u);
+  // 6000 resolved dirs at load <= 1/2 need 16384 slots: the table grew
+  // from its initial size through several rehashes.
+  EXPECT_EQ(client.location_cache_slots(), 16384u);
+}
+
+TEST(ClientGrowthTest, CacheIsSizedByTouchedDirsNotNamespace) {
+  fs::NamespaceTree tree;
+  const std::vector<DirId> dirs =
+      fs::build_private_dirs(tree, "big", 100'000, 1);
+  mds::ClusterParams cp;
+  cp.n_mds = 2;
+  cp.mds_capacity_iops = 1e6;
+  mds::MdsCluster cluster(tree, cp);
+  const std::vector<DirId> touched(dirs.begin(), dirs.begin() + 10);
+  Client client(0, {.max_ops_per_tick = 100.0},
+                std::make_unique<ScanProgram>(
+                    touched, std::vector<std::uint32_t>(10, 1), 1.0 - 1e-9));
+  cluster.begin_tick(0);
+  EXPECT_EQ(client.run_tick(cluster, nullptr, 0), 10u);
+  EXPECT_TRUE(client.done());
+  EXPECT_LE(client.location_cache_slots(), 32u);
+}
+
 TEST_F(ClientTest, DataPathStallsNextIssue) {
   mds::MdsCluster cluster(tree, cp);
   mds::DataPath data(2.0);  // only 2 data ops per tick
