@@ -35,7 +35,6 @@ lunule_bench(ablation_urgency)
 lunule_bench(micro_substrate)
 target_link_libraries(micro_substrate PRIVATE benchmark::benchmark)
 lunule_bench(latency_profile)
-lunule_bench(ext_adaptive_selection)
 lunule_bench(ext_replication)
 lunule_bench(ext_fault_recovery)
 lunule_bench(table_journal_overhead)

@@ -32,12 +32,6 @@ LunuleBalancer::LunuleBalancer(LunuleParams params)
   LUNULE_CHECK(params_.if_threshold > 0.0 && params_.if_threshold < 1.0);
 }
 
-void LunuleBalancer::tune(
-    const std::function<void(LunuleParams&)>& mutator) {
-  mutator(params_);
-  selector_ = SubtreeSelector(params_.selector);
-}
-
 void LunuleBalancer::on_epoch(mds::MdsCluster& cluster,
                               std::span<const Load> loads) {
   std::vector<MdsLoadStat> stats = monitor_.collect(cluster, loads);

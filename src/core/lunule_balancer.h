@@ -16,7 +16,6 @@
 //          the benefit of the IF model alone (the paper's ablation).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -61,10 +60,6 @@ class LunuleBalancer final : public balancer::Balancer {
 
   void on_epoch(mds::MdsCluster& cluster,
                 std::span<const Load> loads) override;
-
-  /// Mutates the balancer parameters in place (the selector is rebuilt).
-  /// Used by the adaptive wrapper to tune selection between epochs.
-  void tune(const std::function<void(LunuleParams&)>& mutator);
 
   /// IF value computed at the last epoch (reporting / tests).
   [[nodiscard]] double last_if() const { return last_if_; }

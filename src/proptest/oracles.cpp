@@ -23,23 +23,87 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
-/// Result JSON + trace JSON of one run (capture_trace forced on so the
-/// comparison covers the full flight-recorder stream, not just summaries).
-struct RunFingerprint {
-  sim::ScenarioResult result;
-  std::string result_json;
-  std::uint64_t result_digest = 0;
-  std::uint64_t trace_digest = 0;
-};
+// -- Shared relations -------------------------------------------------------
 
-RunFingerprint fingerprint(sim::ScenarioConfig cfg) {
-  cfg.capture_trace = true;
-  RunFingerprint fp;
-  fp.result = sim::run_scenario(cfg);
-  fp.result_json = sim::to_json(fp.result);
-  fp.result_digest = digest64(fp.result_json);
-  fp.trace_digest = digest64(fp.result.trace_json);
-  return fp;
+/// The byte-identity relation: both configs run with the flight recorder
+/// on, and must produce the same trace and the same result JSON.  The
+/// failure names the first stream that diverged, with both digests.
+OracleResult byte_identical(const std::string& what, sim::ScenarioConfig a,
+                            sim::ScenarioConfig b) {
+  a.capture_trace = true;
+  b.capture_trace = true;
+  const sim::ScenarioResult ra = sim::run_scenario(a);
+  const sim::ScenarioResult rb = sim::run_scenario(b);
+  const auto diverged = [&what](const char* stream, const std::string& x,
+                                const std::string& y) {
+    return OracleResult::fail(what + " diverged: " + stream + " " +
+                              hex(digest64(x)) + " vs " + hex(digest64(y)));
+  };
+  if (ra.trace_json != rb.trace_json) {
+    return diverged("trace", ra.trace_json, rb.trace_json);
+  }
+  const std::string ja = sim::to_json(ra);
+  const std::string jb = sim::to_json(rb);
+  if (ja != jb) return diverged("result", ja, jb);
+  return OracleResult::ok();
+}
+
+/// The ops a run completed: served by an MDS or absorbed by the proxy
+/// tier.  A balancer, journal, pool or capacity change shifts when
+/// directories turn hot, and so how many reads the tier absorbs; it never
+/// changes the sum.
+std::uint64_t completed_ops(const sim::ScenarioResult& r) {
+  return r.total_served + r.proxy_reads_absorbed;
+}
+
+bool workload_done(const sim::ScenarioResult& r) {
+  return r.clients_done == r.n_clients;
+}
+
+std::string describe_completed(const sim::ScenarioResult& r) {
+  std::ostringstream os;
+  os << completed_ops(r) << " (" << r.total_served << " served + "
+     << r.proxy_reads_absorbed << " absorbed)";
+  return os.str();
+}
+
+/// The conservation relation: a workload completed on both sides was
+/// completed exactly once either way.
+OracleResult conserves_completed_ops(const std::string& what,
+                                     const sim::ScenarioResult& a,
+                                     const sim::ScenarioResult& b) {
+  if (completed_ops(a) == completed_ops(b)) return OracleResult::ok();
+  return OracleResult::fail(what + ": " + describe_completed(a) + " vs " +
+                            describe_completed(b) + " ops completed");
+}
+
+/// The bounded-loss relation: `r` completes at least `fraction` of the
+/// ops `base` completed.
+OracleResult completes_at_least(const std::string& what, double fraction,
+                                const sim::ScenarioResult& r,
+                                const sim::ScenarioResult& base) {
+  const auto floor_ops = static_cast<std::uint64_t>(
+      fraction * static_cast<double>(completed_ops(base)));
+  if (completed_ops(r) >= floor_ops) return OracleResult::ok();
+  std::ostringstream os;
+  os << what << ": " << describe_completed(r) << " vs "
+     << describe_completed(base) << " ops completed (floor " << floor_ops
+     << ")";
+  return OracleResult::fail(os.str());
+}
+
+/// The generator only arms the proxy on a fraction of configs; oracles
+/// that exercise the tier synthesize an aggressive seed-derived policy so
+/// they bite on every config they are pointed at.
+proxy::ProxyParams armed_proxy(const sim::ScenarioConfig& cfg) {
+  proxy::ProxyParams p = cfg.proxy;
+  if (!p.enabled) {
+    p.enabled = true;
+    p.lease_ticks = static_cast<Tick>(5 + cfg.seed % 30);
+    p.promote_threshold_iops = cfg.mds_capacity_iops * 0.05;
+    p.max_promoted = 8;
+  }
+  return p;
 }
 
 /// Strips fault events whose semantics differ between the two sides of the
@@ -61,19 +125,7 @@ faults::FaultPlan crash_free(const faults::FaultPlan& plan) {
 // -- Oracles ----------------------------------------------------------------
 
 OracleResult check_same_seed_determinism(const sim::ScenarioConfig& cfg) {
-  const RunFingerprint a = fingerprint(cfg);
-  const RunFingerprint b = fingerprint(cfg);
-  if (a.result_json != b.result_json) {
-    return OracleResult::fail("same seed, different result JSON: " +
-                              hex(a.result_digest) + " vs " +
-                              hex(b.result_digest));
-  }
-  if (a.result.trace_json != b.result.trace_json) {
-    return OracleResult::fail("same seed, different trace: " +
-                              hex(a.trace_digest) + " vs " +
-                              hex(b.trace_digest));
-  }
-  return OracleResult::ok();
+  return byte_identical("same-seed runs", cfg, cfg);
 }
 
 OracleResult check_single_mds_no_migrations(const sim::ScenarioConfig& cfg) {
@@ -98,10 +150,10 @@ OracleResult check_single_mds_no_migrations(const sim::ScenarioConfig& cfg) {
          << " forwards)";
       return OracleResult::fail(os.str());
     }
-    if (r.total_served == 0) {
+    if (completed_ops(r) == 0) {
       return OracleResult::fail(
           std::string("single-MDS run under ") +
-          std::string(sim::balancer_name(kind)) + " served nothing");
+          std::string(sim::balancer_name(kind)) + " completed nothing");
     }
   }
   return OracleResult::ok();
@@ -168,19 +220,7 @@ OracleResult check_hot_path_equivalence(const sim::ScenarioConfig& cfg) {
   on.hot_path_opts = true;
   sim::ScenarioConfig off = cfg;
   off.hot_path_opts = false;
-  const RunFingerprint a = fingerprint(on);
-  const RunFingerprint b = fingerprint(off);
-  if (a.result.trace_json != b.result.trace_json) {
-    return OracleResult::fail("hot-path on/off diverged: trace " +
-                              hex(a.trace_digest) + " vs " +
-                              hex(b.trace_digest));
-  }
-  if (a.result_json != b.result_json) {
-    return OracleResult::fail("hot-path on/off diverged: result " +
-                              hex(a.result_digest) + " vs " +
-                              hex(b.result_digest));
-  }
-  return OracleResult::ok();
+  return byte_identical("hot-path on/off", on, off);
 }
 
 OracleResult check_shard_equivalence(const sim::ScenarioConfig& cfg) {
@@ -193,28 +233,15 @@ OracleResult check_shard_equivalence(const sim::ScenarioConfig& cfg) {
   one.sharded_ticks = 1;
   sim::ScenarioConfig many = cfg;
   many.sharded_ticks = 2 + static_cast<int>(cfg.seed % 3);  // 2..4
-  const RunFingerprint a = fingerprint(one);
-  const RunFingerprint b = fingerprint(many);
-  if (a.result.trace_json != b.result.trace_json) {
-    return OracleResult::fail(
-        "sharded S=1 vs S=" + std::to_string(many.sharded_ticks) +
-        " diverged: trace " + hex(a.trace_digest) + " vs " +
-        hex(b.trace_digest));
-  }
-  if (a.result_json != b.result_json) {
-    return OracleResult::fail(
-        "sharded S=1 vs S=" + std::to_string(many.sharded_ticks) +
-        " diverged: result " + hex(a.result_digest) + " vs " +
-        hex(b.result_digest));
-  }
-  return OracleResult::ok();
+  return byte_identical(
+      "sharded S=1 vs S=" + std::to_string(many.sharded_ticks), one, many);
 }
 
 OracleResult check_journal_overhead_bounded(const sim::ScenarioConfig& cfg) {
   // Without crashes (nothing to replay, nothing to lose) the journal is
-  // pure overhead, and a *bounded* one: the journaled run must still serve
-  // the workload, and a completed workload is served exactly once either
-  // way.
+  // pure overhead, and a *bounded* one: the journaled run must still
+  // complete the workload, and a completed workload is completed exactly
+  // once either way.
   sim::ScenarioConfig off = cfg;
   off.faults = crash_free(cfg.faults);
   off.journal = {};
@@ -231,30 +258,19 @@ OracleResult check_journal_overhead_bounded(const sim::ScenarioConfig& cfg) {
   if (r_on.journal_entries_appended == 0) {
     return OracleResult::fail("journaled run appended no entries");
   }
-  const bool off_done = r_off.clients_done == r_off.n_clients;
-  const bool on_done = r_on.clients_done == r_on.n_clients;
-  if (off_done && on_done && r_on.total_served != r_off.total_served) {
-    std::ostringstream os;
-    os << "journal on/off disagree on completed workload: " << r_on.total_served
-       << " vs " << r_off.total_served << " ops served";
-    return OracleResult::fail(os.str());
+  if (workload_done(r_off) && workload_done(r_on)) {
+    const OracleResult r = conserves_completed_ops(
+        "journal on/off disagree on completed workload", r_on, r_off);
+    if (!r.passed) return r;
   }
-  const auto floor_served = static_cast<std::uint64_t>(
-      0.7 * static_cast<double>(r_off.total_served));
-  if (r_on.total_served < floor_served) {
-    std::ostringstream os;
-    os << "journal overhead unbounded: " << r_on.total_served << " vs "
-       << r_off.total_served << " ops served (floor " << floor_served << ")";
-    return OracleResult::fail(os.str());
-  }
-  return OracleResult::ok();
+  return completes_at_least("journal overhead unbounded", 0.7, r_on, r_off);
 }
 
 OracleResult check_elasticity_conserves_completed_ops(
     const sim::ScenarioConfig& cfg) {
   // Elasticity changes *when* capacity exists, never *what* the clients
   // get done: a workload that completes on the full fixed pool and also
-  // completes on the elastic pool must have been served exactly once
+  // completes on the elastic pool must have been completed exactly once
   // either way — no ops lost in a drain handoff, none double-counted
   // across an activation's replay window.
   sim::ScenarioConfig off = cfg;
@@ -280,62 +296,44 @@ OracleResult check_elasticity_conserves_completed_ops(
        << " up / " << r_off.scale_down_events << " down";
     return OracleResult::fail(os.str());
   }
-  if (r_on.total_served == 0) {
-    return OracleResult::fail("elastic run served nothing");
+  if (completed_ops(r_on) == 0) {
+    return OracleResult::fail("elastic run completed nothing");
   }
-  const bool off_done = r_off.clients_done == r_off.n_clients;
-  const bool on_done = r_on.clients_done == r_on.n_clients;
-  if (!off_done || !on_done) {
+  if (!workload_done(r_off) || !workload_done(r_on)) {
     // A smaller starting pool may legitimately still be catching up when
     // max_ticks lands; conservation is only defined over completed work.
     return OracleResult::skip("workload did not complete on both pools");
   }
-  if (r_on.total_served != r_off.total_served) {
-    std::ostringstream os;
-    os << "elasticity lost completed ops: " << r_on.total_served
-       << " served elastic vs " << r_off.total_served << " fixed";
-    return OracleResult::fail(os.str());
-  }
-  return OracleResult::ok();
+  return conserves_completed_ops("elastic vs fixed pool", r_on, r_off);
 }
 
 OracleResult check_capacity_monotonicity(const sim::ScenarioConfig& cfg) {
   // More hardware must not lose work: with double the per-MDS capacity the
-  // cluster serves at least (almost — balancing dynamics shift) as many ops
-  // in the same window, and a workload that completed keeps completing.
+  // cluster completes at least (almost — balancing dynamics shift) as many
+  // ops in the same window, and a workload that completed keeps completing.
   sim::ScenarioConfig hi = cfg;
   hi.mds_capacity_iops = cfg.mds_capacity_iops * 2.0;
   const sim::ScenarioResult base = sim::run_scenario(cfg);
   const sim::ScenarioResult doubled = sim::run_scenario(hi);
-  const bool base_done = base.clients_done == base.n_clients;
-  const bool doubled_done = doubled.clients_done == doubled.n_clients;
-  if (base_done && !doubled_done) {
+  if (workload_done(base) && !workload_done(doubled)) {
     std::ostringstream os;
     os << "doubling capacity lost completions: " << doubled.clients_done
        << "/" << doubled.n_clients << " clients done (was "
        << base.clients_done << "/" << base.n_clients << ")";
     return OracleResult::fail(os.str());
   }
-  const auto floor_served = static_cast<std::uint64_t>(
-      0.95 * static_cast<double>(base.total_served));
-  if (doubled.total_served < floor_served) {
-    std::ostringstream os;
-    os << "doubling capacity lost throughput: " << doubled.total_served
-       << " vs " << base.total_served << " ops served (floor "
-       << floor_served << ")";
-    return OracleResult::fail(os.str());
-  }
-  return OracleResult::ok();
+  return completes_at_least("doubling capacity lost throughput", 0.95,
+                            doubled, base);
 }
 
 OracleResult check_cross_balancer_conservation(
     const sim::ScenarioConfig& cfg) {
   // The workload defines total demand; the balancer only decides *where*
   // ops are served.  Every balancer that runs the workload to completion
-  // must therefore agree exactly on total ops served.
+  // must therefore agree exactly on total ops completed.
   struct Done {
     sim::BalancerKind kind;
-    std::uint64_t served;
+    sim::ScenarioResult result;
   };
   std::vector<Done> done;
   for (const sim::BalancerKind kind :
@@ -343,22 +341,20 @@ OracleResult check_cross_balancer_conservation(
         sim::BalancerKind::kLunule, sim::BalancerKind::kDirHash}) {
     sim::ScenarioConfig c = cfg;
     c.balancer = kind;
-    const sim::ScenarioResult r = sim::run_scenario(c);
-    if (r.clients_done == r.n_clients) done.push_back({kind, r.total_served});
+    sim::ScenarioResult r = sim::run_scenario(c);
+    if (workload_done(r)) done.push_back({kind, std::move(r)});
   }
   if (done.size() < 2) {
     return OracleResult::skip(
         "fewer than two balancers completed the workload");
   }
   for (const Done& d : done) {
-    if (d.served != done.front().served) {
-      std::ostringstream os;
-      os << "completed workload served differently: "
-         << sim::balancer_name(done.front().kind) << "="
-         << done.front().served << " vs " << sim::balancer_name(d.kind)
-         << "=" << d.served;
-      return OracleResult::fail(os.str());
-    }
+    const OracleResult r = conserves_completed_ops(
+        "completed workload differs: " +
+            std::string(sim::balancer_name(done.front().kind)) + " vs " +
+            std::string(sim::balancer_name(d.kind)),
+        done.front().result, d.result);
+    if (!r.passed) return r;
   }
   return OracleResult::ok();
 }
@@ -375,19 +371,7 @@ OracleResult check_proxy_quiescent_equivalence(
   sim::ScenarioConfig on = off;
   on.proxy.enabled = true;
   on.proxy.promote_threshold_iops = 1e18;  // unreachable
-  const RunFingerprint a = fingerprint(off);
-  const RunFingerprint b = fingerprint(on);
-  if (a.result.trace_json != b.result.trace_json) {
-    return OracleResult::fail("quiescent proxy diverged: trace " +
-                              hex(a.trace_digest) + " vs " +
-                              hex(b.trace_digest));
-  }
-  if (a.result_json != b.result_json) {
-    return OracleResult::fail("quiescent proxy diverged: result " +
-                              hex(a.result_digest) + " vs " +
-                              hex(b.result_digest));
-  }
-  return OracleResult::ok();
+  return byte_identical("quiescent proxy", off, on);
 }
 
 OracleResult check_proxy_conserves_completed_ops(
@@ -398,15 +382,7 @@ OracleResult check_proxy_conserves_completed_ops(
   sim::ScenarioConfig off = cfg;
   off.proxy = {};
   sim::ScenarioConfig on = off;
-  on.proxy = cfg.proxy;
-  if (!on.proxy.enabled) {
-    // The generator only arms the proxy on a fraction of configs;
-    // synthesize an aggressive policy so the oracle bites everywhere.
-    on.proxy.enabled = true;
-    on.proxy.lease_ticks = static_cast<Tick>(5 + cfg.seed % 30);
-    on.proxy.promote_threshold_iops = cfg.mds_capacity_iops * 0.05;
-    on.proxy.max_promoted = 8;
-  }
+  on.proxy = armed_proxy(cfg);
 
   const sim::ScenarioResult r_off = sim::run_scenario(off);
   const sim::ScenarioResult r_on = sim::run_scenario(on);
@@ -417,22 +393,13 @@ OracleResult check_proxy_conserves_completed_ops(
        << r_off.proxy_lease_grants << " grants";
     return OracleResult::fail(os.str());
   }
-  if (r_on.total_served == 0) {
-    return OracleResult::fail("proxied run served nothing");
+  if (completed_ops(r_on) == 0) {
+    return OracleResult::fail("proxied run completed nothing");
   }
-  const bool off_done = r_off.clients_done == r_off.n_clients;
-  const bool on_done = r_on.clients_done == r_on.n_clients;
-  if (!off_done || !on_done) {
+  if (!workload_done(r_off) || !workload_done(r_on)) {
     return OracleResult::skip("workload did not complete on both sides");
   }
-  if (r_on.total_served + r_on.proxy_reads_absorbed != r_off.total_served) {
-    std::ostringstream os;
-    os << "proxy broke op conservation: " << r_on.total_served
-       << " MDS-served + " << r_on.proxy_reads_absorbed << " absorbed != "
-       << r_off.total_served << " baseline";
-    return OracleResult::fail(os.str());
-  }
-  return OracleResult::ok();
+  return conserves_completed_ops("proxy broke op conservation", r_on, r_off);
 }
 
 OracleResult check_proxy_coherence_under_faults(
@@ -443,12 +410,7 @@ OracleResult check_proxy_coherence_under_faults(
   // invariant section 8 at every epoch close when LUNULE_VALIDATE is on;
   // here we assert the counter algebra that must hold regardless.
   sim::ScenarioConfig on = cfg;
-  if (!on.proxy.enabled) {
-    on.proxy.enabled = true;
-    on.proxy.lease_ticks = static_cast<Tick>(5 + cfg.seed % 30);
-    on.proxy.promote_threshold_iops = cfg.mds_capacity_iops * 0.05;
-    on.proxy.max_promoted = 8;
-  }
+  on.proxy = armed_proxy(cfg);
   const sim::ScenarioResult r = sim::run_scenario(on);
   if (r.proxy_reads_absorbed > 0 && r.proxy_lease_grants == 0) {
     return OracleResult::fail("reads absorbed without a single lease grant");
@@ -468,8 +430,8 @@ OracleResult check_proxy_coherence_under_faults(
        << r.proxy_lease_grants;
     return OracleResult::fail(os.str());
   }
-  if (r.total_served == 0) {
-    return OracleResult::fail("proxied faulty run served nothing");
+  if (completed_ops(r) == 0) {
+    return OracleResult::fail("proxied faulty run completed nothing");
   }
   return OracleResult::ok();
 }
@@ -488,18 +450,9 @@ OracleResult check_async_crash_prefix_consistent(
   inert.journal = {};
   sim::ScenarioConfig inert_async = inert;
   inert_async.journal.async_mode = true;
-  const RunFingerprint qa = fingerprint(inert);
-  const RunFingerprint qb = fingerprint(inert_async);
-  if (qa.result.trace_json != qb.result.trace_json) {
-    return OracleResult::fail("async_mode leaked without a journal: trace " +
-                              hex(qa.trace_digest) + " vs " +
-                              hex(qb.trace_digest));
-  }
-  if (qa.result_json != qb.result_json) {
-    return OracleResult::fail("async_mode leaked without a journal: result " +
-                              hex(qa.result_digest) + " vs " +
-                              hex(qb.result_digest));
-  }
+  const OracleResult inert_result =
+      byte_identical("async_mode without a journal", inert, inert_async);
+  if (!inert_result.passed) return inert_result;
 
   sim::ScenarioConfig on = cfg;
   on.journal.enabled = true;
@@ -526,8 +479,8 @@ OracleResult check_async_crash_prefix_consistent(
   }
 
   const sim::ScenarioResult r = sim::run_scenario(on);
-  if (r.total_served == 0) {
-    return OracleResult::fail("async journaled run served nothing");
+  if (completed_ops(r) == 0) {
+    return OracleResult::fail("async journaled run completed nothing");
   }
   if (r.journal_dependency_violations != 0) {
     std::ostringstream os;

@@ -16,12 +16,16 @@
 //                              permuting the per-rank load vector
 //   hot_path_equivalence       hot-path optimisations on vs off trace
 //                              byte-identically
-//   journal_overhead_bounded   a crash-free journaled run serves the same
-//                              completed workload at bounded overhead
+//   shard_equivalence          the sharded tick engine traces
+//                              byte-identically for any shard count
+//   journal_overhead_bounded   a crash-free journaled run completes the
+//                              same ops at bounded overhead
+//   elasticity_conserves_completed_ops elastic and fixed pools that both
+//                              finish the workload complete the same ops
 //   capacity_monotonicity      doubling per-MDS capacity never loses
 //                              meaningful throughput or completions
 //   cross_balancer_conservation balancers that complete the same workload
-//                              agree exactly on total ops served
+//                              agree exactly on total ops completed
 //   proxy_quiescent_equivalence an armed proxy tier that never promotes
 //                              traces byte-identically to no tier at all
 //   proxy_conserves_completed_ops MDS-served + proxy-absorbed ops equal
@@ -34,6 +38,11 @@
 //                              a prefix-consistent state: zero dependency
 //                              violations, every append acknowledged, the
 //                              loss window exactly the un-flushed backlog
+//
+// The byte-identity oracles share one check (trace, then result JSON).
+// Every oracle that compares work compares *completed* ops: MDS-served
+// plus proxy-absorbed, since any perturbation that moves when directories
+// turn hot moves reads between the MDSs and an armed proxy tier.
 //
 // Every check is deterministic; a failure message carries enough digest /
 // counter context to be actionable before shrinking even starts.

@@ -18,7 +18,6 @@ class DirfragTest : public ::testing::Test {
 };
 
 TEST_F(DirfragTest, UnfragmentedHasOneFrag) {
-  const Directory& d = tree.dir(dir_id);
   EXPECT_FALSE(tree.fragmented(dir_id));
   EXPECT_EQ(tree.frag_count(dir_id), 1u);
   EXPECT_EQ(tree.frag(dir_id, 0).file_count, 64u);
@@ -27,7 +26,6 @@ TEST_F(DirfragTest, UnfragmentedHasOneFrag) {
 
 TEST_F(DirfragTest, SplitDistributesFilesEvenly) {
   tree.fragment_dir(dir_id, 3);  // 8 frags
-  const Directory& d = tree.dir(dir_id);
   EXPECT_EQ(tree.frag_count(dir_id), 8u);
   for (FragId f = 0; f < 8; ++f) {
     EXPECT_EQ(tree.frag(dir_id, f).file_count, 8u);

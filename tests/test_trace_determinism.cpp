@@ -61,36 +61,26 @@ std::uint64_t fnv1a64(std::string_view bytes) {
   return h;
 }
 
-// Pinned trace digest: the proxy knob must be dark silicon when disabled.
-// The constant below is the trace digest of this exact scenario from the
-// build *before* the proxy tier existed; a disabled-proxy run (the
-// default) must still hash to it.  If an intentional trace-format change
-// moves this value, re-pin it together with the change that moved it —
-// never because proxy code started leaking into disabled runs.
+// Pinned trace digest: disabled tiers must be dark silicon.  The constant
+// below is the trace digest of this exact scenario from the build *before*
+// the proxy tier existed; a run with the proxy off and the journal off with
+// async_mode off (the defaults) must still hash to it, and neither tier may
+// count anything.  dep_seq stamping runs in every journal mode but lives
+// outside the trace, so it must not move this value either.  If an
+// intentional trace-format change moves this value, re-pin it together
+// with the change that moved it — never because tier code started leaking
+// into disabled runs.
 TEST(TraceDeterminism, ProxyDisabledTraceMatchesPinnedPreProxyDigest) {
   ScenarioConfig cfg = small_config(BalancerKind::kLunule, 42);
   ASSERT_FALSE(cfg.proxy.enabled);
+  ASSERT_FALSE(cfg.journal.enabled);
+  ASSERT_FALSE(cfg.journal.async_mode);
   const ScenarioResult r = run_scenario(cfg);
   ASSERT_FALSE(r.trace_json.empty());
   EXPECT_EQ(fnv1a64(r.trace_json), 0x51e3506e66756352ull);
   EXPECT_EQ(r.proxy_reads_absorbed, 0u);
   EXPECT_EQ(r.proxy_lease_grants, 0u);
   EXPECT_EQ(r.proxy_promotions, 0u);
-}
-
-// Pinned trace digest, async edition: with async_mode off (the default,
-// and the journal disabled as in every small_config run) the async journal
-// path must be dark silicon too — the same pre-proxy digest still holds
-// because neither PR's knobs may perturb a disabled run.  dep_seq stamping
-// runs in every mode but lives outside the trace, so it must not move this
-// value either.
-TEST(TraceDeterminism, AsyncDisabledTraceMatchesPinnedDigest) {
-  ScenarioConfig cfg = small_config(BalancerKind::kLunule, 42);
-  ASSERT_FALSE(cfg.journal.enabled);
-  ASSERT_FALSE(cfg.journal.async_mode);
-  const ScenarioResult r = run_scenario(cfg);
-  ASSERT_FALSE(r.trace_json.empty());
-  EXPECT_EQ(fnv1a64(r.trace_json), 0x51e3506e66756352ull);
   EXPECT_EQ(r.journal_async_acked, 0u);
   EXPECT_EQ(r.journal_async_background_charges, 0u);
   EXPECT_EQ(r.journal_async_throttle_ticks, 0u);
