@@ -1,6 +1,7 @@
 // Hot-path microbenchmark: authority resolution, epoch close, and
-// candidate collection with the hot-path optimisations on vs off, at
-// 10k / 100k / 500k / 2M directories with a 1% hot set, plus the
+// candidate collection on the incremental paths ("on") vs the naive
+// reference paths that obs::check_hot_paths audits them against ("off"),
+// at 10k / 100k / 500k / 2M directories with a 1% hot set, plus the
 // worker-pool scaling of the epoch-close fold at 1 / 2 / 4 shards
 // (shards = 1 + pool workers, mirroring the sharded tick engine's
 // sharded_ticks knob).
@@ -85,7 +86,8 @@ struct SizeResult {
   std::vector<ShardRow> shard_rows;
 };
 
-/// Random authority lookups over the fan-out, cache on vs off.
+/// Random authority lookups over the fan-out: the flat cache vs the
+/// uncached pin-chain walk.
 void bench_auth_lookup(SizeResult& r, std::size_t n_dirs) {
   fs::NamespaceTree tree;
   const std::vector<DirId> leaves = build_fanout(tree, n_dirs);
@@ -96,18 +98,20 @@ void bench_auth_lookup(SizeResult& r, std::size_t n_dirs) {
   constexpr std::size_t kLookups = 200'000;
   std::int64_t sink = 0;
   for (const bool cached : {true, false}) {
-    tree.set_auth_cache_enabled(cached);
+    const auto resolve = [&tree, cached](DirId d) {
+      return cached ? tree.auth_of(d) : tree.resolve_auth_uncached(d);
+    };
     // Warm-up pass: the cached row measures steady-state hits, not the
     // one-time fill cost of a cold cache (and the uncached row gets the
     // same page/TLB warming so the comparison stays paired).
     Rng warm(11);
     for (std::size_t i = 0; i < kLookups; ++i) {
-      sink += tree.auth_of(leaves[warm.next_below(leaves.size())]);
+      sink += resolve(leaves[warm.next_below(leaves.size())]);
     }
     Rng rng(11);
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < kLookups; ++i) {
-      sink += tree.auth_of(leaves[rng.next_below(leaves.size())]);
+      sink += resolve(leaves[rng.next_below(leaves.size())]);
     }
     const double ns = seconds_since(t0) * 1e9 / kLookups;
     (cached ? r.auth_cached_ns : r.auth_uncached_ns) = ns;
@@ -117,8 +121,9 @@ void bench_auth_lookup(SizeResult& r, std::size_t n_dirs) {
 }
 
 /// One epoch of synthetic load on the hot set + close + candidate
-/// collection, with the optimisations on (lazy stats + live-set filter) vs
-/// off (eager close + whole-namespace scan).
+/// collection: on = dirty-set close + active-set scan; off = the same close,
+/// then the reference paths (roll every fragment of every active directory,
+/// then scan the whole namespace).
 void bench_epoch_close(SizeResult& r, std::size_t n_dirs, int timed_epochs) {
   constexpr int kWarmEpochs = 6;
   const std::size_t stride = n_dirs / r.hot_dirs;
@@ -127,7 +132,7 @@ void bench_epoch_close(SizeResult& r, std::size_t n_dirs, int timed_epochs) {
     const std::vector<DirId> leaves = build_fanout(tree, n_dirs);
     mds::RecorderParams params;
     params.sibling_credit_prob = 0.0;  // isolate the close/scan cost
-    mds::AccessRecorder recorder(tree, params, Rng(23), /*lazy=*/opts);
+    mds::AccessRecorder recorder(tree, params, Rng(23));
     const std::vector<DirId>* live = opts ? &recorder.active_dirs() : nullptr;
     std::vector<balancer::Candidate> cands;
     double elapsed = 0.0;
@@ -141,6 +146,9 @@ void bench_epoch_close(SizeResult& r, std::size_t n_dirs, int timed_epochs) {
       }
       const auto t0 = Clock::now();
       recorder.close_epoch();
+      if (!opts) {
+        for (const DirId d : recorder.active_dirs()) tree.advance_dir_stats(d);
+      }
       balancer::collect_candidates_into(cands, tree, /*owner=*/0, live);
       if (e >= kWarmEpochs) elapsed += seconds_since(t0);
     }
@@ -175,7 +183,7 @@ void bench_shard_scaling(SizeResult& r, std::size_t n_dirs,
   const std::vector<DirId> leaves = build_fanout(tree, n_dirs);
   mds::RecorderParams params;
   params.sibling_credit_prob = 0.0;
-  mds::AccessRecorder recorder(tree, params, Rng(23), /*lazy=*/true);
+  mds::AccessRecorder recorder(tree, params, Rng(23));
   const std::vector<DirId>& live = recorder.active_dirs();
   std::vector<balancer::Candidate> cands;
   EpochId epoch = 0;

@@ -131,11 +131,12 @@ void collect_candidates_into(std::vector<Candidate>& out,
       live_dirs, pool);
 }
 
-std::vector<Candidate> collect_all_candidates(fs::NamespaceTree& tree) {
+std::vector<Candidate> collect_all_candidates(
+    fs::NamespaceTree& tree, const std::vector<DirId>* live_dirs) {
   std::vector<Candidate> out;
   collect_if(
-      out, tree, [](const Candidate&) { return true; },
-      /*live_dirs=*/nullptr, /*pool=*/nullptr);
+      out, tree, [](const Candidate&) { return true; }, live_dirs,
+      /*pool=*/nullptr);
   return out;
 }
 

@@ -44,6 +44,8 @@ struct Candidate {
   std::uint64_t visits_last_epoch = 0;
   /// Files in this unit never visited so far.
   std::uint64_t unvisited = 0;
+
+  bool operator==(const Candidate&) const = default;
 };
 
 /// Deterministic tie rank for candidate orderings (splitmix64 of the
@@ -124,9 +126,10 @@ void collect_candidates_into(std::vector<Candidate>& out,
                              WorkerPool* pool = nullptr);
 
 /// Enumerates the migratable units of the whole namespace regardless of
-/// current authority (used by Dir-Hash static pinning and by reports).
+/// current authority (used by reports and by the hot-path reference audit),
+/// optionally restricted to `live_dirs` as in collect_candidates.
 [[nodiscard]] std::vector<Candidate> collect_all_candidates(
-    fs::NamespaceTree& tree);
+    fs::NamespaceTree& tree, const std::vector<DirId>* live_dirs = nullptr);
 
 /// Builds the candidate for one specific unit (used after splitting).
 [[nodiscard]] Candidate make_candidate(fs::NamespaceTree& tree,

@@ -1,8 +1,11 @@
 #include "obs/invariant_checker.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <sstream>
 
+#include "balancer/candidates.h"
 #include "obs/trace_recorder.h"
 
 namespace lunule::obs {
@@ -34,10 +37,116 @@ void check_counter(Violations& v, const CounterRegistry& counters,
   }
 }
 
+/// The access recorder's retention criterion: a fragment (or a unit built
+/// from fragments) still carries signal while any of heat, the visits
+/// window, the first-visits window or the sibling-credit window is
+/// non-zero.
+bool live(const fs::FragStats& f) {
+  return f.heat > 0.0 || f.visits_window.window_sum() > 0 ||
+         f.first_visits_window.window_sum() > 0 ||
+         f.sibling_credit_window.window_sum() > 0.0;
+}
+
+bool live(const balancer::Candidate& c) {
+  return c.heat > 0.0 || c.visits_w > 0 || c.first_visits_w > 0 ||
+         c.sibling_credit_w > 0.0;
+}
+
+/// The candidates of rank `m` that carry signal, in scan order.
+std::vector<balancer::Candidate> with_signal(
+    const std::vector<balancer::Candidate>& all, MdsId m) {
+  std::vector<balancer::Candidate> out;
+  std::copy_if(all.begin(), all.end(), std::back_inserter(out),
+               [m](const balancer::Candidate& c) {
+                 return c.auth == m && live(c);
+               });
+  return out;
+}
+
 }  // namespace
 
+std::vector<std::string> check_hot_paths(mds::MdsCluster& cluster) {
+  Violations v;
+  fs::NamespaceTree& tree = cluster.tree();
+  const mds::AccessRecorder& recorder = cluster.recorder();
+  const EpochId clock = tree.stats_clock();
+  const double decay = recorder.params().heat_decay;
+
+  // Authority cache vs the uncached pin walk; statistics clock; expiry.
+  // The expiry check rolls copies, so this pass leaves the tree untouched.
+  for (DirId d = 0; d < tree.dir_count(); ++d) {
+    const MdsId cached = tree.auth_of(d);
+    const MdsId oracle = tree.resolve_auth_uncached(d);
+    if (cached != oracle) {
+      v.add("dir ", d, " cached authority ", cached,
+            " != recomputed authority ", oracle);
+    }
+    const bool active = recorder.is_active(d);
+    for (std::size_t f = 0; f < tree.frags(d).size(); ++f) {
+      const fs::FragStats& frag = tree.frags(d)[f];
+      if (frag.stats_epoch > clock) {
+        v.add("dirfrag ", d, "/", f, " stats epoch ", frag.stats_epoch,
+              " is ahead of the statistics clock ", clock);
+      }
+      if (active) continue;
+      if (frag.visits_epoch != 0 || frag.file_visits_epoch != 0 ||
+          frag.first_visits_epoch != 0 || frag.recurrent_epoch != 0 ||
+          frag.creates_epoch != 0 || frag.sibling_credit_epoch != 0.0) {
+        v.add("dirfrag ", d, "/", f,
+              " has open accumulators but its directory is not active");
+      }
+      fs::FragStats copy = frag;
+      copy.advance_to(clock, decay);
+      if (live(copy)) {
+        v.add("dirfrag ", d, "/", f,
+              " still carries live statistics but its directory was "
+              "expired from the active set");
+      }
+    }
+  }
+
+  // Per rank, the active-set scan finds exactly the candidates with signal
+  // that the whole-namespace scan finds, in the same order.  The scans roll
+  // lagging fragments forward in place, as every reader does; they are
+  // restored afterwards, so the audit leaves the statistics exactly as it
+  // found them, even for code that reads windows without rolling them.
+  // The buffer is reused across audits: a fresh namespace-sized one per
+  // epoch costs more in page faults than the copy itself.
+  static thread_local std::vector<fs::FragStats> saved;
+  saved.clear();
+  for (DirId d = 0; d < tree.dir_count(); ++d) {
+    saved.insert(saved.end(), tree.frags(d).begin(), tree.frags(d).end());
+  }
+  // One scan each way serves every rank: per-rank collection is the same
+  // scan filtered by authority.
+  const std::vector<balancer::Candidate> all_full =
+      balancer::collect_all_candidates(tree);
+  const std::vector<balancer::Candidate> all_fast =
+      balancer::collect_all_candidates(tree, cluster.candidate_dirs());
+  for (std::size_t m = 0; m < cluster.size(); ++m) {
+    const auto rank = static_cast<MdsId>(m);
+    const std::vector<balancer::Candidate> full = with_signal(all_full, rank);
+    const std::vector<balancer::Candidate> fast = with_signal(all_fast, rank);
+    if (full == fast) continue;
+    const auto k = static_cast<std::size_t>(
+        std::mismatch(full.begin(), full.end(), fast.begin(), fast.end())
+            .first -
+        full.begin());
+    v.add("mds.", m, " active-set scan yields ", fast.size(),
+          " candidates with signal, whole-namespace scan ", full.size(),
+          "; first divergence at #", k, ", dir ",
+          (k < full.size() ? full[k] : fast[k]).ref.dir);
+  }
+  auto next = saved.begin();
+  for (DirId d = 0; d < tree.dir_count(); ++d) {
+    for (fs::FragStats& frag : tree.frags(d)) frag = *next++;
+  }
+  return v.take();
+}
+
 std::vector<std::string> InvariantChecker::check_epoch(
-    const mds::MdsCluster& cluster, std::span<const Load> loads) {
+    mds::MdsCluster& cluster, std::span<const Load> loads,
+    std::optional<std::uint64_t> client_ops_completed) {
   Violations v;
   const std::size_t n = cluster.size();
   const double epoch_seconds = cluster.epoch_seconds();
@@ -218,48 +327,8 @@ std::vector<std::string> InvariantChecker::check_epoch(
                   totals.segments_trimmed);
   }
 
-  // 6. Hot-path caches.  The flat authority cache must agree with the
-  //    pin-chain oracle for every directory; fragment statistics may never
-  //    run ahead of the statistics clock; and every fragment outside the
-  //    recorder's active set must be fully drained once rolled forward —
-  //    a violation means the lazy close expired a still-live directory.
-  {
-    const mds::AccessRecorder& recorder = cluster.recorder();
-    const EpochId clock = tree.stats_clock();
-    const double decay = recorder.params().heat_decay;
-    for (DirId d = 0; d < tree.dir_count(); ++d) {
-      const MdsId cached = tree.auth_of(d);
-      const MdsId oracle = tree.resolve_auth_uncached(d);
-      if (cached != oracle) {
-        v.add("dir ", d, " cached authority ", cached,
-              " != recomputed authority ", oracle);
-      }
-      const bool active = recorder.is_active(d);
-      for (std::size_t f = 0; f < tree.frags(d).size(); ++f) {
-        const fs::FragStats& frag = tree.frags(d)[f];
-        if (frag.stats_epoch > clock) {
-          v.add("dirfrag ", d, "/", f, " stats epoch ", frag.stats_epoch,
-                " is ahead of the statistics clock ", clock);
-        }
-        if (active) continue;
-        if (frag.visits_epoch != 0 || frag.file_visits_epoch != 0 ||
-            frag.first_visits_epoch != 0 || frag.recurrent_epoch != 0 ||
-            frag.creates_epoch != 0 || frag.sibling_credit_epoch != 0.0) {
-          v.add("dirfrag ", d, "/", f,
-                " has open accumulators but its directory is not active");
-        }
-        fs::FragStats copy = frag;
-        copy.advance_to(clock, decay);
-        if (copy.heat > 0.0 || copy.visits_window.window_sum() > 0 ||
-            copy.first_visits_window.window_sum() > 0 ||
-            copy.sibling_credit_window.window_sum() > 0.0) {
-          v.add("dirfrag ", d, "/", f,
-                " still carries live statistics but its directory was "
-                "expired from the active set");
-        }
-      }
-    }
-  }
+  // 6. The incremental hot paths agree with their naive references.
+  for (std::string& msg : check_hot_paths(cluster)) v.add(std::move(msg));
 
   // 7. Elasticity.  Membership changes must conserve the serving model:
   //    a rank outside the serving set (cold standby or retired) owns
@@ -296,14 +365,25 @@ std::vector<std::string> InvariantChecker::check_epoch(
     check_counter(v, counters, "autoscaler.drains", elastic.drains_started);
   }
 
-  // 8. Proxy cache-tier coherence.  No read may be served from a lease a
+  // 8. Completed ops, then proxy cache-tier coherence.  Every metadata op
+  //    a client completed was either served by an MDS or absorbed by the
+  //    proxy tier, and nothing else was (the proxy.reads_absorbed counter
+  //    reads 0 without a tier).  No read may be served from a lease a
   //    completed invalidation should have revoked: every live lease must
   //    still match the directory state snapshotted at grant (authority,
   //    file count, fragmentation), its grantor must be up and not
   //    draining, its TTL must be bounded, and the proxy.* counters must
-  //    agree with the tier's lifetime totals.  The tier owns the check —
-  //    it knows its lease table — and the section stays free when no tier
-  //    is installed.
+  //    agree with the tier's lifetime totals.  The tier owns that check —
+  //    it knows its lease table — and it stays free when no tier is
+  //    installed.
+  if (client_ops_completed.has_value()) {
+    const std::uint64_t absorbed = counters.value("proxy.reads_absorbed");
+    if (*client_ops_completed != cluster.total_served() + absorbed) {
+      v.add("clients completed ", *client_ops_completed,
+            " metadata ops but the MDSs served ", cluster.total_served(),
+            " and the proxy tier absorbed ", absorbed);
+    }
+  }
   if (const mds::CacheTier* tier = cluster.cache_tier()) {
     for (const std::string& msg : tier->check_coherence(cluster)) {
       v.add(msg);

@@ -22,19 +22,24 @@
 //      within the configured in-flight limit.
 //   5. Journal coherence: the newest retained ESubtreeMap checkpoint of
 //      every alive rank matches what the rank actually owns.
-//   6. Hot-path caches: the flat resolved-authority cache agrees with the
-//      pin-chain oracle for every directory, no fragment's statistics run
-//      ahead of the statistics clock, and every fragment outside the access
-//      recorder's active set is fully drained once rolled forward — i.e.
-//      the lazy epoch close never expired a directory that still carried
-//      signal.
+//   6. Hot paths against their naive references (check_hot_paths below):
+//      the flat resolved-authority cache agrees with the uncached pin-chain
+//      walk for every directory, no fragment's statistics run ahead of the
+//      statistics clock, every fragment outside the access recorder's
+//      active set is fully drained once rolled forward (the incremental
+//      close never expired a directory that still carried signal), and, per
+//      rank, the candidates with signal from the active-set scan equal
+//      those from a whole-namespace scan, in the same order.
 //   7. Elasticity: ranks outside the serving set own/serve/carry nothing,
 //      a draining rank is up, and the autoscaler.* counters agree with the
 //      cluster's membership-change totals.
-//   8. Proxy cache-tier coherence (when a tier is installed): no live
-//      lease that a completed invalidation — mutation, split, migration,
-//      crash, drain — should have revoked, TTLs bounded, and the proxy.*
-//      counters agree with the tier's totals (see docs/CACHING.md).
+//   8. Completed ops and proxy cache-tier coherence: when the caller
+//      supplies the clients' completed metadata ops, they equal the ops
+//      the MDSs served plus the reads the proxy tier absorbed.  With a tier
+//      installed, no live lease that a completed invalidation — mutation,
+//      split, migration, crash, drain — should have revoked, TTLs bounded,
+//      and the proxy.* counters agree with the tier's totals (see
+//      docs/CACHING.md).
 //   9. Async journal mode (journal.async_mode only): the acknowledged-but-
 //      not-yet-durable window stays bounded (un-flushed EUpdate count at or
 //      under max_unflushed_entries — the documented loss window), every
@@ -49,6 +54,8 @@
 // simulation loop turns a non-empty result into a fatal LUNULE_CHECK.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -58,14 +65,27 @@
 
 namespace lunule::obs {
 
+/// Section 6 on its own: audits the incremental hot paths (authority
+/// cache, incremental epoch close, active-set candidate scan) against the
+/// naive reference paths.  Stateless, so any caller may run it at any
+/// epoch boundary (right after a close, when the active set is sorted).
+/// Takes the cluster non-const because the candidate scans roll lagging
+/// fragments forward, as every reader does; it restores them before
+/// returning, so it leaves no trace in the statistics.
+[[nodiscard]] std::vector<std::string> check_hot_paths(
+    mds::MdsCluster& cluster);
+
 class InvariantChecker {
  public:
   /// Audits one just-closed epoch.  Returns the violated invariants
   /// (empty = all hold).  Stateful: load conservation is checked against
   /// the served-operation total seen at the previous call, so use one
   /// checker instance per cluster for the whole run.
+  /// `client_ops_completed` is Σ client meta_ops_completed(); without it
+  /// (clusters driven without clients) the completed-ops check is skipped.
   [[nodiscard]] std::vector<std::string> check_epoch(
-      const mds::MdsCluster& cluster, std::span<const Load> loads);
+      mds::MdsCluster& cluster, std::span<const Load> loads,
+      std::optional<std::uint64_t> client_ops_completed = std::nullopt);
 
   [[nodiscard]] std::uint64_t epochs_checked() const {
     return epochs_checked_;

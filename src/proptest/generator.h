@@ -7,7 +7,7 @@
 // repro file is written.
 //
 // The sampled space covers the whole ScenarioConfig surface: workload x
-// balancer x cluster shape x capacities x fault plans x journal / hot-path /
+// balancer x cluster shape x capacities x fault plans x journal / shard /
 // replication knobs.  Sizes are deliberately small (a few clients, a couple
 // hundred ticks, scale << 1): each oracle re-runs its scenario several times,
 // and the point is scenario-space *coverage*, not scenario *size*.

@@ -216,11 +216,15 @@ OracleResult check_rank_relabel_invariance(const sim::ScenarioConfig& cfg) {
 }
 
 OracleResult check_hot_path_equivalence(const sim::ScenarioConfig& cfg) {
-  sim::ScenarioConfig on = cfg;
-  on.hot_path_opts = true;
-  sim::ScenarioConfig off = cfg;
-  off.hot_path_opts = false;
-  return byte_identical("hot-path on/off", on, off);
+  // Production keeps only the incremental hot paths (authority cache,
+  // dirty-set epoch close, active-set candidate scan); their naive
+  // references run as obs::check_hot_paths at every epoch boundary.
+  const sim::HotPathAudit audit = sim::run_with_hot_path_audit(cfg);
+  if (audit.violations.empty()) return OracleResult::ok();
+  std::ostringstream os;
+  os << audit.violations.size() << " hot-path audit violations over "
+     << audit.audits << " audits; first: " << audit.violations.front();
+  return OracleResult::fail(os.str());
 }
 
 OracleResult check_shard_equivalence(const sim::ScenarioConfig& cfg) {
@@ -515,7 +519,7 @@ constexpr Oracle kOracles[] = {
      "IF and policy-env statistics are invariant under load permutations",
      &check_rank_relabel_invariance},
     {"hot_path_equivalence",
-     "hot-path optimisations on vs off trace byte-identically",
+     "incremental hot paths match their naive references every epoch",
      &check_hot_path_equivalence},
     {"shard_equivalence",
      "sharded tick engine traces byte-identically for any shard count",

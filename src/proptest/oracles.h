@@ -14,8 +14,9 @@
 //   rank_relabel_invariance    the decision substrate (imbalance factor,
 //                              policy-env statistics) is invariant under
 //                              permuting the per-rank load vector
-//   hot_path_equivalence       hot-path optimisations on vs off trace
-//                              byte-identically
+//   hot_path_equivalence       at every epoch boundary the incremental
+//                              hot paths match their naive references
+//                              (obs::check_hot_paths)
 //   shard_equivalence          the sharded tick engine traces
 //                              byte-identically for any shard count
 //   journal_overhead_bounded   a crash-free journaled run completes the

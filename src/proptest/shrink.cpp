@@ -129,11 +129,6 @@ std::vector<sim::ScenarioConfig> candidates(const sim::ScenarioConfig& cur) {
     c.data_capacity = def.data_capacity;
     push(std::move(c));
   }
-  if (!cur.hot_path_opts) {
-    sim::ScenarioConfig c = cur;
-    c.hot_path_opts = true;
-    push(std::move(c));
-  }
   if (cur.sibling_credit_prob != def.sibling_credit_prob) {
     sim::ScenarioConfig c = cur;
     c.sibling_credit_prob = def.sibling_credit_prob;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "balancer/dir_hash.h"
 #include "balancer/mantle.h"
@@ -10,6 +11,7 @@
 #include "core/hash_rebalancer.h"
 #include "core/lunule_balancer.h"
 #include "fs/builder.h"
+#include "obs/invariant_checker.h"
 #include "proxy/proxy_cache.h"
 #include "sim/json_export.h"
 #include "workloads/flash_crowd.h"
@@ -302,9 +304,6 @@ mds::ClusterParams cluster_params_for(const ScenarioConfig& cfg) {
   cp.recorder.sibling_credit_prob = cfg.sibling_credit_prob;
   cp.replicate_threshold_iops = cfg.replicate_threshold_iops;
   cp.unreplicate_threshold_iops = cfg.replicate_threshold_iops / 8.0;
-  cp.hot_path.auth_cache = cfg.hot_path_opts;
-  cp.hot_path.lazy_stats = cfg.hot_path_opts;
-  cp.hot_path.candidate_filter = cfg.hot_path_opts;
   if (cfg.autoscaler.enabled) {
     // Elastic pool: start with the configured active set (default: the
     // floor), clamped into [min_ranks, n_mds]; the rest are cold standbys.
@@ -579,6 +578,47 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     r.trace_json = trace_to_json(sim->cluster().trace());
   }
   return r;
+}
+
+namespace {
+
+/// Audits the epoch that closed last.
+void audit_last_epoch(HotPathAudit& audit, mds::MdsCluster& cluster) {
+  const std::string epoch = "epoch " + std::to_string(cluster.epoch() - 1);
+  for (std::string& msg : obs::check_hot_paths(cluster)) {
+    audit.violations.push_back(epoch + ": " + std::move(msg));
+  }
+  ++audit.audits;
+}
+
+/// One link of the boundary audit chain: audits the epoch that just
+/// closed, then re-arms for the next boundary while any client still has
+/// work.
+struct HotPathAuditStep {
+  HotPathAudit* audit;
+  Tick epoch_ticks;
+
+  void operator()(Simulation& s) const {
+    audit_last_epoch(*audit, s.cluster());
+    if (s.clients_done() < s.clients().size()) {
+      s.schedule(s.now() + epoch_ticks, *this);
+    }
+  }
+};
+
+}  // namespace
+
+HotPathAudit run_with_hot_path_audit(const ScenarioConfig& cfg) {
+  std::unique_ptr<Simulation> sim = make_scenario(cfg);
+  HotPathAudit audit;
+  sim->schedule(cfg.epoch_ticks, HotPathAuditStep{&audit, cfg.epoch_ticks});
+  sim->run();
+  // A run that ends right after a close never reaches the boundary tick
+  // where the chain would audit it.
+  if (sim->end_tick() % cfg.epoch_ticks == 0) {
+    audit_last_epoch(audit, sim->cluster());
+  }
+  return audit;
 }
 
 }  // namespace lunule::sim

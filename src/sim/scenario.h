@@ -122,11 +122,6 @@ struct ScenarioConfig {
   /// a trace was asked for (--trace, or tests that inspect the dump).
   bool capture_trace = false;
 
-  /// Hot-path optimisations (authority cache, lazy stats advancement,
-  /// live-set candidate filtering).  On by default; the equivalence suite
-  /// flips this off and asserts byte-identical traces either way.
-  bool hot_path_opts = true;
-
   /// Sharded tick engine: 0 (default) keeps the legacy serial client loop;
   /// S >= 1 partitions each tick's clients by the rank their next op binds
   /// to and runs the rank streams on up to S threads with deterministic
@@ -269,5 +264,20 @@ struct ScenarioResult {
 
 /// Runs a scenario to completion and extracts the reporting summary.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioConfig& cfg);
+
+/// Tally of a hot-path reference audit (see run_with_hot_path_audit).
+struct HotPathAudit {
+  /// Epoch boundaries audited.
+  std::uint64_t audits = 0;
+  /// obs::check_hot_paths violations, each prefixed with its epoch.
+  std::vector<std::string> violations;
+};
+
+/// Runs a scenario with obs::check_hot_paths at every epoch boundary, in
+/// any build type.  The audits go through Simulation::schedule: each fires
+/// at the start of the tick after a close and re-arms only while some
+/// client still has work, so it holds a stop_when_done run open by at most
+/// one epoch.  A run ending right after a close is audited once more.
+[[nodiscard]] HotPathAudit run_with_hot_path_audit(const ScenarioConfig& cfg);
 
 }  // namespace lunule::sim

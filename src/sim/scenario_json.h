@@ -26,7 +26,7 @@
 namespace lunule::sim {
 
 /// Serializes every ScenarioConfig knob (workload, balancer, cluster shape,
-/// fault plan, journal parameters, hot-path opts, seed, ...).
+/// fault plan, journal parameters, shard count, seed, ...).
 void write_scenario_config(std::ostream& os, const ScenarioConfig& cfg);
 
 [[nodiscard]] std::string scenario_config_to_json(const ScenarioConfig& cfg);

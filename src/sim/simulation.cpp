@@ -129,12 +129,15 @@ void Simulation::run() {
   }
 
   for (now_ = 0; now_ < options_.max_ticks; ++now_) {
-    // Fire events scheduled for this tick.
+    // Fire events scheduled for this tick.  They are detached first, so an
+    // event may schedule later ones without disturbing this pass.
     auto range = events_.equal_range(now_);
+    std::vector<std::function<void(Simulation&)>> due;
     for (auto it = range.first; it != range.second; ++it) {
-      it->second(*this);
+      due.push_back(std::move(it->second));
     }
     events_.erase(range.first, range.second);
+    for (const auto& fn : due) fn(*this);
 
     // Inject faults before the tick opens so budgets and authority reflect
     // the failure from its first affected tick.
@@ -166,8 +169,10 @@ void Simulation::run() {
       // Free in production runs: release builds only check under
       // LUNULE_VALIDATE=1.
       if (obs::validation_enabled()) {
+        std::uint64_t client_ops = 0;
+        for (const auto& c : clients_) client_ops += c->meta_ops_completed();
         const std::vector<std::string> violations =
-            invariants_.check_epoch(*cluster_, loads);
+            invariants_.check_epoch(*cluster_, loads, client_ops);
         for (const std::string& violation : violations) {
           std::fprintf(stderr, "invariant violation (epoch %lld): %s\n",
                        static_cast<long long>(cluster_->epoch() - 1),

@@ -1,13 +1,13 @@
-// Equivalence suite for the hot-path optimisations.
+// Equivalence suite for the incremental hot paths.
 //
 // The authority cache, the lazy cutting-window advancement, and the
-// live-set candidate filter are mechanical optimisations: with them on or
-// off, every scenario must produce a byte-identical flight-recorder trace
-// and identical headline results.  This suite runs a matrix of workload,
-// fault, journal, and replication scenarios both ways and asserts exactly
-// that, plus targeted regressions: lazy FragStats advancement against the
-// eager push sequence, and authority resolution on a pathologically deep
-// directory chain (the recursive resolver this PR replaced would have to
+// active-set candidate scan are mechanical optimisations of naive paths
+// that survive only as references in obs::check_hot_paths.  This suite
+// runs a matrix of workload, fault, journal, and replication scenarios
+// with that audit at every epoch boundary and asserts it never finds a
+// divergence, plus targeted regressions: lazy FragStats advancement
+// against the eager push sequence, and authority resolution on a
+// pathologically deep directory chain (a recursive resolver would have to
 // walk — and allocate stack for — every level).
 #include <gtest/gtest.h>
 
@@ -127,13 +127,11 @@ TEST(DeepChain, IterativeAuthorityResolutionHandlesDeepTrees) {
   tree.set_auth(mid, 3);
   EXPECT_EQ(tree.auth_of(leaf), 3);
   EXPECT_EQ(tree.auth_of(chain[kDepth / 2 - 1]), 0);
-  // Cache and oracle agree at every probe depth, cache on or off.
+  // Cache and uncached pin walk agree at every probe depth.
   for (const DirId probe : {chain.front(), mid, leaf}) {
     EXPECT_EQ(tree.auth_of(probe), tree.resolve_auth_uncached(probe));
   }
-  tree.set_auth_cache_enabled(false);
-  EXPECT_EQ(tree.auth_of(leaf), 3);
-  tree.set_auth_cache_enabled(true);
+  EXPECT_EQ(tree.resolve_auth_uncached(leaf), 3);
 
   // Subtree traversals (also iterative) survive the same depth.
   EXPECT_EQ(tree.exclusive_inodes({.dir = mid}),
@@ -147,32 +145,17 @@ TEST(DeepChain, IterativeAuthorityResolutionHandlesDeepTrees) {
   EXPECT_EQ(tree.auth_of(leaf), 3);
 }
 
-// -- Scenario matrix: optimisations on vs off ------------------------------
+// -- Scenario matrix: incremental paths vs their references ---------------
 
-sim::ScenarioResult run_with(sim::ScenarioConfig cfg, bool opts) {
-  cfg.capture_trace = true;
-  cfg.hot_path_opts = opts;
-  return sim::run_scenario(cfg);
-}
-
-/// Runs `cfg` with the hot-path optimisations on and off and asserts the
-/// traces are byte-identical and the headline results agree.
+/// Runs `cfg` with obs::check_hot_paths at every epoch boundary and asserts
+/// that no audit found the incremental paths diverging from the naive ones.
 void expect_equivalent(const sim::ScenarioConfig& cfg) {
-  const sim::ScenarioResult on = run_with(cfg, true);
-  const sim::ScenarioResult off = run_with(cfg, false);
-  ASSERT_FALSE(on.trace_json.empty());
-  EXPECT_EQ(on.trace_json, off.trace_json);
-  EXPECT_EQ(on.total_served, off.total_served);
-  EXPECT_EQ(on.total_forwards, off.total_forwards);
-  EXPECT_EQ(on.migrated_total, off.migrated_total);
-  EXPECT_EQ(on.migrations_completed, off.migrations_completed);
-  EXPECT_EQ(on.clients_done, off.clients_done);
-  EXPECT_EQ(on.end_tick, off.end_tick);
-  EXPECT_EQ(on.total_served_per_mds, off.total_served_per_mds);
-  EXPECT_DOUBLE_EQ(on.mean_if, off.mean_if);
-  EXPECT_DOUBLE_EQ(on.peak_aggregate_iops, off.peak_aggregate_iops);
-  EXPECT_EQ(on.takeover_subtrees, off.takeover_subtrees);
-  EXPECT_EQ(on.replayed_entries, off.replayed_entries);
+  const sim::HotPathAudit audit = sim::run_with_hot_path_audit(cfg);
+  // At least ten epochs close before any of these workloads completes.
+  EXPECT_GE(audit.audits, 10u);
+  EXPECT_TRUE(audit.violations.empty())
+      << audit.violations.size() << " violations; first: "
+      << audit.violations.front();
 }
 
 sim::ScenarioConfig small_config(sim::WorkloadKind w, sim::BalancerKind b) {
@@ -189,6 +172,15 @@ sim::ScenarioConfig small_config(sim::WorkloadKind w, sim::BalancerKind b) {
 TEST(HotPathEquivalence, MixedWorkloadLunule) {
   expect_equivalent(
       small_config(sim::WorkloadKind::kMixed, sim::BalancerKind::kLunule));
+}
+
+TEST(HotPathEquivalence, ShardedMixedWorkloadLunule) {
+  // Rank streams on worker threads: the authority cache's concurrent
+  // relaxed-atomic fill is the only resolution path they use.
+  sim::ScenarioConfig cfg =
+      small_config(sim::WorkloadKind::kMixed, sim::BalancerKind::kLunule);
+  cfg.sharded_ticks = 4;
+  expect_equivalent(cfg);
 }
 
 TEST(HotPathEquivalence, ZipfVanilla) {

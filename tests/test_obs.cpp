@@ -4,6 +4,7 @@
 #include "obs/invariant_checker.h"
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,15 @@
 
 namespace lunule::obs {
 namespace {
+
+/// True when some violation contains `needle`.
+bool mentions(const std::vector<std::string>& violations,
+              std::string_view needle) {
+  for (const std::string& v : violations) {
+    if (v.find(needle) != std::string::npos) return true;
+  }
+  return false;
+}
 
 TraceEvent event_with(std::int64_t n0) {
   TraceEvent e;
@@ -118,6 +128,9 @@ class InvariantCheckerTest : public ::testing::Test {
   InvariantCheckerTest() {
     dir_ = tree_.add_dir(tree_.root(), "d");
     tree_.add_files(dir_, 16);
+    // Never accessed, so never in the recorder's active set.
+    cold_ = tree_.add_dir(tree_.root(), "cold");
+    tree_.add_files(cold_, 4);
     params_.n_mds = 3;
     params_.mds_capacity_iops = 100.0;
     params_.epoch_ticks = 1;
@@ -135,6 +148,7 @@ class InvariantCheckerTest : public ::testing::Test {
   fs::NamespaceTree tree_;
   mds::ClusterParams params_;
   DirId dir_ = kNoDir;
+  DirId cold_ = kNoDir;
   std::unique_ptr<mds::MdsCluster> cluster_;
   Tick tick_ = 0;
 };
@@ -208,6 +222,69 @@ TEST_F(InvariantCheckerTest, FragFileCountDriftIsFlagged) {
   const auto violations =
       checker.check_epoch(*cluster_, cluster_->current_loads());
   EXPECT_FALSE(violations.empty());
+}
+
+TEST_F(InvariantCheckerTest, FlagsCompletedOpsMismatch) {
+  InvariantChecker checker;
+  run_epoch(5);
+  EXPECT_TRUE(checker.check_epoch(*cluster_, cluster_->current_loads(), 5)
+                  .empty());
+  run_epoch(5);
+  // Clients claim one op more than the MDSs served (no proxy tier).
+  const auto violations =
+      checker.check_epoch(*cluster_, cluster_->current_loads(), 11);
+  EXPECT_TRUE(mentions(violations, "clients completed 11 metadata ops"))
+      << (violations.empty() ? "no violations" : violations.front());
+}
+
+// -- Section 6: the hot-path reference audit ------------------------------
+
+TEST_F(InvariantCheckerTest, HotPathAuditPassesOnHealthyCluster) {
+  for (int e = 0; e < 3; ++e) {
+    run_epoch(5);
+    const auto violations = check_hot_paths(*cluster_);
+    EXPECT_TRUE(violations.empty()) << violations.front();
+  }
+  EXPECT_TRUE(cluster_->recorder().is_active(dir_));
+  EXPECT_FALSE(cluster_->recorder().is_active(cold_));
+}
+
+TEST_F(InvariantCheckerTest, FlagsLiveHeatOutsideTheActiveSet) {
+  run_epoch(5);
+  // Heat the incremental close never saw: the directory was "expired"
+  // while it still carries signal.
+  tree_.frags(cold_)[0].heat = 5.0;
+  const auto violations = check_hot_paths(*cluster_);
+  EXPECT_TRUE(mentions(violations, "expired from the active set"))
+      << (violations.empty() ? "no violations" : violations.front());
+}
+
+TEST_F(InvariantCheckerTest, FlagsFragStampedAheadOfStatsClock) {
+  run_epoch(5);
+  tree_.frags(dir_)[0].stats_epoch = tree_.stats_clock() + 1;
+  const auto violations = check_hot_paths(*cluster_);
+  EXPECT_TRUE(mentions(violations, "ahead of the statistics clock"))
+      << (violations.empty() ? "no violations" : violations.front());
+}
+
+TEST_F(InvariantCheckerTest, FlagsCandidateTheActiveSetScanMisses) {
+  run_epoch(5);
+  // A closed-epoch visits sample on an inactive directory: the whole-
+  // namespace scan yields a candidate with signal on rank 0 that the
+  // active-set scan cannot see.
+  fs::FragStats& frag = tree_.frags(cold_)[0];
+  tree_.advance_frag_stats(frag);
+  frag.visits_window.push(3);
+  const auto violations = check_hot_paths(*cluster_);
+  EXPECT_TRUE(mentions(violations, "mds.0 active-set scan yields 1 "
+                                   "candidates with signal, whole-namespace "
+                                   "scan 2"))
+      << (violations.empty() ? "no violations" : violations.front());
+  // check_epoch reports the same finding as its section 6.
+  InvariantChecker checker;
+  EXPECT_TRUE(mentions(checker.check_epoch(*cluster_,
+                                           cluster_->current_loads()),
+                       "active-set scan"));
 }
 
 }  // namespace

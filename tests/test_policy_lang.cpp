@@ -188,12 +188,21 @@ class PolicyBalancerTest : public ::testing::Test {
     cp.n_mds = 4;
     cp.mds_capacity_iops = 1000.0;
     cp.epoch_ticks = 1;
-    // Heat is poked directly below (bypassing the recorder), so the
-    // recorder-driven live-set filter must be off.
-    cp.hot_path.candidate_filter = false;
     // Spread heat so estimates fit the policy amounts.
-    for (const DirId d : dirs) tree.frag(d, 0).heat = 10.0;
+    for (const DirId d : dirs) tree.frag(d, 0).heat = kHeat;
   }
+
+  /// Puts every directory in the recorder's active set, the set candidate
+  /// collection scans, with one recorded access each; the spread heat is
+  /// re-poked over the access's own.
+  void activate(mds::MdsCluster& cluster) {
+    for (const DirId d : dirs) {
+      cluster.recorder().record(d, 0, cluster.epoch());
+      tree.frag(d, 0).heat = kHeat;
+    }
+  }
+
+  static constexpr double kHeat = 10.0;
 
   fs::NamespaceTree tree;
   mds::ClusterParams cp;
@@ -202,6 +211,7 @@ class PolicyBalancerTest : public ::testing::Test {
 
 TEST_F(PolicyBalancerTest, GreedySpillAsAPolicyString) {
   mds::MdsCluster cluster(tree, cp);
+  activate(cluster);
   PolicyBalancerParams p;
   p.name = "greedy-spill-lang";
   p.when = "min < 1 && max > 1";

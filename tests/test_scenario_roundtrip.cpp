@@ -1,7 +1,7 @@
 // ScenarioConfig <-> JSON round-trip coverage (sim/scenario_json.h).
 //
-// Every knob — including fault plans, journal parameters and hot-path
-// opts — must survive save -> load exactly, and save -> load -> save must
+// Every knob — including fault plans, journal parameters and the shard
+// count — must survive save -> load exactly, and save -> load -> save must
 // be byte-identical (repro files in tests/corpus/ rely on this).
 #include "sim/scenario_json.h"
 
@@ -51,7 +51,6 @@ ScenarioConfig full_config() {
   cfg.migration_max_retries = 9;
   cfg.migration_retry_backoff_ticks = 11;
   cfg.capture_trace = true;
-  cfg.hot_path_opts = false;
   cfg.sharded_ticks = 3;
   cfg.seed = 0xdeadbeefcafef00dULL;  // exercises the > 2^53 seed path
   return cfg;
@@ -102,7 +101,6 @@ TEST(ScenarioRoundtrip, EveryKnobSurvivesSaveLoad) {
   EXPECT_EQ(back.migration_retry_backoff_ticks,
             cfg.migration_retry_backoff_ticks);
   EXPECT_EQ(back.capture_trace, cfg.capture_trace);
-  EXPECT_EQ(back.hot_path_opts, cfg.hot_path_opts);
   EXPECT_EQ(back.sharded_ticks, cfg.sharded_ticks);
   EXPECT_EQ(back.seed, cfg.seed);
 }
