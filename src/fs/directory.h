@@ -32,6 +32,8 @@ class Directory {
   /// copy the hot walks read in its parent arena).
   [[nodiscard]] DirId parent() const { return parent_; }
   [[nodiscard]] const std::string& name() const { return name_; }
+  /// Child directories, ascending by id (NamespaceTree::add_dir appends
+  /// fresh, increasing ids), so lookups may binary-search.
   [[nodiscard]] const std::vector<DirId>& children() const {
     return children_;
   }

@@ -17,10 +17,6 @@ std::uint64_t pack_auth(std::uint64_t gen, MdsId auth) {
          static_cast<std::uint16_t>(static_cast<std::uint32_t>(auth) + 1);
 }
 
-MdsId unpack_auth(std::uint64_t packed) {
-  return static_cast<MdsId>(static_cast<std::uint16_t>(packed)) - 1;
-}
-
 }  // namespace
 
 NamespaceTree::NamespaceTree() {
@@ -267,10 +263,8 @@ MdsId NamespaceTree::resolve_auth_uncached(DirId d) const {
   return explicit_auth_[d];
 }
 
-MdsId NamespaceTree::auth_of(DirId d) const {
+MdsId NamespaceTree::auth_of_miss(DirId d) const {
   const std::uint64_t gen = dir_auth_gen_;
-  std::uint64_t packed = auth_cache_.load(d);
-  if ((packed >> 16) == gen) return unpack_auth(packed);
   // Walk up collecting stale directories until a pin or a warm cache entry
   // resolves the chain, then fill the whole walk downward — amortised O(1)
   // per lookup, and iterative so pathologically deep chains cannot
@@ -282,7 +276,7 @@ MdsId NamespaceTree::auth_of(DirId d) const {
   DirId cur = d;
   MdsId a = kNoMds;
   while (true) {
-    packed = auth_cache_.load(cur);
+    const std::uint64_t packed = auth_cache_.load(cur);
     if ((packed >> 16) == gen) {
       a = unpack_auth(packed);
       break;
@@ -299,11 +293,6 @@ MdsId NamespaceTree::auth_of(DirId d) const {
   auth_cache_.store(cur, fill);
   for (const DirId w : walk) auth_cache_.store(w, fill);
   return a;
-}
-
-MdsId NamespaceTree::auth_of_file(DirId d, FileIndex i) const {
-  const MdsId pin = frag(d, frag_of(d, i)).auth_pin;
-  return pin != kNoMds ? pin : auth_of(d);
 }
 
 MdsId NamespaceTree::auth_of_subtree(const SubtreeRef& ref) const {

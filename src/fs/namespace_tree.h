@@ -97,9 +97,17 @@ class NamespaceTree {
 
   /// Resolved authority of directory `d` (cached).  Safe to call
   /// concurrently during the sharded tick phase (no pin may change then).
-  [[nodiscard]] MdsId auth_of(DirId d) const;
+  /// The cache hit is inline; a miss takes the out-of-line walk.
+  [[nodiscard]] MdsId auth_of(DirId d) const {
+    const std::uint64_t packed = auth_cache_.load(d);
+    if ((packed >> 16) == dir_auth_gen_) return unpack_auth(packed);
+    return auth_of_miss(d);
+  }
   /// Resolved authority of file `i` within `d` (respects frag pins).
-  [[nodiscard]] MdsId auth_of_file(DirId d, FileIndex i) const;
+  [[nodiscard]] MdsId auth_of_file(DirId d, FileIndex i) const {
+    const MdsId pin = frag(d, frag_of(d, i)).auth_pin;
+    return pin != kNoMds ? pin : auth_of(d);
+  }
   /// Resolved authority of a migratable unit.
   [[nodiscard]] MdsId auth_of_subtree(const SubtreeRef& ref) const;
   /// Cache-free resolution by walking the pin chain (the reference that
@@ -216,6 +224,13 @@ class NamespaceTree {
   }
 
  private:
+  /// Decodes a packed cache entry (see auth_cache_).
+  static MdsId unpack_auth(std::uint64_t packed) {
+    return static_cast<MdsId>(static_cast<std::uint16_t>(packed)) - 1;
+  }
+  /// auth_of's cache-miss path: walks up to a pin or a warm entry and
+  /// fills the walk.
+  [[nodiscard]] MdsId auth_of_miss(DirId d) const;
   void bump_generation() { ++auth_gen_; }
   /// Directory-level pins changed: the flat resolution cache is stale.
   void bump_dir_auth_generation() { ++dir_auth_gen_; }

@@ -108,8 +108,10 @@ void AccessRecorder::credit_sibling(DirId d, FileIndex i,
   DirId sibling;
   if (draws.next_bool(params_.sibling_adjacent_fraction)) {
     // Namespace-order adjacency: credit the next sibling, the most likely
-    // continuation of a directory-order scan.
-    const auto it = std::find(siblings.begin(), siblings.end(), d);
+    // continuation of a directory-order scan.  add_dir appends ascending
+    // ids, so children() is sorted and a binary search finds `d` without
+    // scanning a wide parent's fan-out.
+    const auto it = std::lower_bound(siblings.begin(), siblings.end(), d);
     const auto idx = static_cast<std::size_t>(it - siblings.begin());
     sibling = siblings[(idx + 1) % siblings.size()];
     if (sibling == d) return;

@@ -92,8 +92,17 @@ class MigrationEngine {
   void tick();
 
   /// True when serving (d, i) must stall because a covering subtree is in
-  /// its frozen commit window.
+  /// its frozen commit window.  Scans only the frozen index, so the cost of
+  /// a serve does not grow with the migration queue.
   [[nodiscard]] bool is_frozen(DirId d, FileIndex i) const;
+
+  /// The units of the tasks in their frozen commit window, in task order.
+  /// Rebuilt wherever freeze state can change (tick, forced and crash
+  /// aborts) and only then, so rank streams may read it concurrently.
+  /// obs::check_hot_paths audits it against a fresh scan of tasks().
+  [[nodiscard]] const std::vector<fs::SubtreeRef>& frozen_subtrees() const {
+    return frozen_;
+  }
 
   /// True when `m` is exporter or importer of any active transfer.
   [[nodiscard]] bool involved(MdsId m) const;
@@ -202,9 +211,15 @@ class MigrationEngine {
   /// task dropped for good (retry budget spent, or its endpoint is gone).
   void record_terminal_drop(const ExportTask& t);
 
+  /// Recomputes frozen_ from tasks_ (serial phases only).
+  void rebuild_frozen();
+
   fs::NamespaceTree& tree_;
   MigrationParams params_;
   std::deque<ExportTask> tasks_;
+  /// Units of the frozen tasks; see frozen_subtrees().  Submissions and
+  /// drops of queued tasks cannot change it: a queued task is never frozen.
+  std::vector<fs::SubtreeRef> frozen_;
   Tick now_ = 0;  // engine-local clock: ticks seen so far
   std::uint64_t total_migrated_ = 0;
   std::uint64_t completed_ = 0;

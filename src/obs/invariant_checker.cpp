@@ -141,6 +141,18 @@ std::vector<std::string> check_hot_paths(mds::MdsCluster& cluster) {
   for (DirId d = 0; d < tree.dir_count(); ++d) {
     for (fs::FragStats& frag : tree.frags(d)) frag = *next++;
   }
+
+  // The migration engine's frozen index against a fresh scan of its tasks.
+  const mds::MigrationEngine& engine = cluster.migration();
+  std::vector<fs::SubtreeRef> frozen;
+  for (const mds::ExportTask& t : engine.tasks()) {
+    if (t.frozen(engine.params().freeze_fraction)) frozen.push_back(t.subtree);
+  }
+  if (engine.frozen_subtrees() != frozen) {
+    v.add("migration frozen index (", engine.frozen_subtrees().size(),
+          " units) differs from a scan of the tasks (", frozen.size(),
+          " frozen)");
+  }
   return v.take();
 }
 

@@ -29,7 +29,9 @@
 //      active set is fully drained once rolled forward (the incremental
 //      close never expired a directory that still carried signal), and, per
 //      rank, the candidates with signal from the active-set scan equal
-//      those from a whole-namespace scan, in the same order.
+//      those from a whole-namespace scan, in the same order, and the
+//      migration engine's frozen index lists exactly the tasks a fresh scan
+//      finds in their frozen commit window, in task order.
 //   7. Elasticity: ranks outside the serving set own/serve/carry nothing,
 //      a draining rank is up, and the autoscaler.* counters agree with the
 //      cluster's membership-change totals.
@@ -66,8 +68,8 @@
 namespace lunule::obs {
 
 /// Section 6 on its own: audits the incremental hot paths (authority
-/// cache, incremental epoch close, active-set candidate scan) against the
-/// naive reference paths.  Stateless, so any caller may run it at any
+/// cache, incremental epoch close, active-set candidate scan, frozen-task
+/// index) against the naive reference paths.  Stateless, so any caller may run it at any
 /// epoch boundary (right after a close, when the active set is sorted).
 /// Takes the cluster non-const because the candidate scans roll lagging
 /// fragments forward, as every reader does; it restores them before

@@ -148,6 +148,10 @@ std::uint32_t Client::run_tick(mds::MdsCluster& cluster, mds::DataPath* data,
                        2.0 * params_.max_ops_per_tick);
   }
   std::uint32_t served = 0;
+  // Ops served in the tick they were first tried (latency 1) are added to
+  // the histogram in one call before returning; the sums are exact
+  // integers, so the histogram matches per-op adds.
+  std::uint64_t same_tick = 0;
   bool pause = false;
   while (budget_ >= 1.0) {
     if (pending_data_) {
@@ -190,7 +194,11 @@ std::uint32_t Client::run_tick(mds::MdsCluster& cluster, mds::DataPath* data,
     budget_ -= 1.0;
     ++meta_ops_;
     ++served;
-    latency_.add(static_cast<double>(now - op_first_attempt_ + 1));
+    if (op_first_attempt_ == now) {
+      ++same_tick;
+    } else {
+      latency_.add(static_cast<double>(now - op_first_attempt_ + 1));
+    }
     op_first_attempt_ = -1;
     const bool had_data = op_.has_data && data != nullptr;
     if (had_data) pending_data_ = true;
@@ -205,6 +213,7 @@ std::uint32_t Client::run_tick(mds::MdsCluster& cluster, mds::DataPath* data,
       }
     }
   }
+  if (same_tick > 0) latency_.add(1.0, same_tick);
   tick_served_ += served;
   if (pause) {
     // The client still has budget and work but must leave the rank stream;

@@ -2,6 +2,8 @@
 #include "mds/access_recorder.h"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -104,6 +106,39 @@ TEST_F(AccessRecorderTest, SiblingCreditRespectsProbability) {
   }
   EXPECT_GT(credits, 1.0);
   EXPECT_LT(credits, 17.0);  // ~8 expected at p=0.25
+}
+
+TEST(AccessRecorderSiblings, AdjacentCreditOnWideParentMatchesLinearFind) {
+  fs::NamespaceTree tree;
+  const DirId wide = tree.add_dir(tree.root(), "wide");
+  const DirId other = tree.add_dir(tree.root(), "other");
+  for (int k = 0; k < 10000; ++k) {
+    tree.add_files(tree.add_dir(wide, "d" + std::to_string(k)), 1);
+    // Interleaved ids under another parent leave gaps in wide's ids.
+    if (k % 7 == 0) tree.add_dir(other, "o" + std::to_string(k));
+  }
+  RecorderParams p;
+  p.sibling_credit_prob = 1.0;
+  p.sibling_adjacent_fraction = 1.0;  // every credit goes to the next one
+  AccessRecorder rec(tree, p, Rng(5));
+  const std::vector<DirId>& kids = tree.dir(wide).children();
+  ASSERT_EQ(kids.size(), 10000u);
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1},
+                              std::size_t{4999}, kids.size() - 2,
+                              kids.size() - 1}) {
+    const DirId d = kids[k];
+    RecorderLane lane;
+    rec.record(d, 0, 0, &lane);
+    ASSERT_EQ(lane.credits.size(), 1u) << "child #" << k;
+    const auto idx = static_cast<std::size_t>(
+        std::find(kids.begin(), kids.end(), d) - kids.begin());
+    EXPECT_EQ(lane.credits[0].sibling, kids[(idx + 1) % kids.size()])
+        << "child #" << k;
+    // The last child wraps to the first.
+    if (k == kids.size() - 1) {
+      EXPECT_EQ(lane.credits[0].sibling, kids[0]);
+    }
+  }
 }
 
 TEST_F(AccessRecorderTest, CreatesAreFirstVisits) {

@@ -239,5 +239,37 @@ TEST_F(ClientTest, CreateWorkloadGrowsDirectory) {
   EXPECT_TRUE(client.done());
 }
 
+TEST_F(ClientTest, BatchedLatencyMatchesPerOpAdds) {
+  mds::MdsCluster cluster(tree, cp);  // capacity 50
+  Client a(0, {.max_ops_per_tick = 60.0}, scan_of(dirs[0], 100));
+  Client hog(1, {.max_ops_per_tick = 60.0}, scan_of(dirs[1], 100));
+  // Tick 0: `a` serves a run of 50 and blocks on its 51st op.
+  cluster.begin_tick(0);
+  ASSERT_EQ(a.run_tick(cluster, nullptr, 0), 50u);
+  cluster.end_tick();
+  // Tick 1: the hog drains the MDS first, so `a` stalls head-of-line.
+  cluster.begin_tick(1);
+  ASSERT_EQ(hog.run_tick(cluster, nullptr, 1), 50u);
+  ASSERT_EQ(a.run_tick(cluster, nullptr, 1), 0u);
+  cluster.end_tick();
+  // Tick 2: the stalled op completes (latency 3), then a run of 49.
+  cluster.begin_tick(2);
+  ASSERT_EQ(a.run_tick(cluster, nullptr, 2), 50u);
+  cluster.end_tick();
+
+  Histogram per_op;
+  for (int k = 0; k < 50; ++k) per_op.add(1.0);
+  per_op.add(3.0);
+  for (int k = 0; k < 49; ++k) per_op.add(1.0);
+  const Histogram& got = a.op_latency();
+  EXPECT_EQ(got.total_count(), per_op.total_count());
+  EXPECT_EQ(got.mean(), per_op.mean());
+  EXPECT_EQ(got.max_value(), per_op.max_value());
+  for (const double p : {0.0, 50.0, 99.0, 100.0}) {
+    EXPECT_EQ(got.percentile(p), per_op.percentile(p)) << "p" << p;
+  }
+  EXPECT_EQ(got.max_value(), 3.0);
+}
+
 }  // namespace
 }  // namespace lunule::workloads

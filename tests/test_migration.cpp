@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "fs/builder.h"
 
 namespace lunule::mds {
@@ -210,6 +213,92 @@ TEST_F(MigrationTest, FragMigrationFreezesOnlyThatFrag) {
   for (int t = 0; t < 2; ++t) eng.tick();
   EXPECT_TRUE(eng.is_frozen(dirs[0], 1));   // file 1 -> frag 1
   EXPECT_FALSE(eng.is_frozen(dirs[0], 0));  // file 0 -> frag 0
+}
+
+/// The per-task scan is_frozen used before the frozen index: every task in
+/// its freeze window, whole-directory units covering their subtree.
+bool scan_frozen(const fs::NamespaceTree& tree, const MigrationEngine& eng,
+                 DirId d, FileIndex i) {
+  for (const ExportTask& t : eng.tasks()) {
+    if (!t.frozen(eng.params().freeze_fraction)) continue;
+    if (t.subtree.is_frag()) {
+      if (t.subtree.dir == d && tree.frag_of(d, i) == t.subtree.frag) {
+        return true;
+      }
+    } else if (tree.is_ancestor(t.subtree.dir, d)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST_F(MigrationTest, FrozenIndexMatchesTaskScan) {
+  tree.fragment_dir(dirs[4], 1);
+  tree.fragment_dir(dirs[5], 1);
+  MigrationParams p = slow_params();
+  p.freeze_fraction = 0.6;  // a long window, so aborts hit frozen tasks
+  MigrationEngine eng(tree, p);
+  std::size_t frozen_seen = 0;
+  // Every (dir, file) of the fixture, plus the next create's index.
+  const auto expect_index_matches = [&](const char* step) {
+    for (DirId d = 0; d < tree.dir_count(); ++d) {
+      for (FileIndex i = 0; i <= tree.dir(d).file_count(); ++i) {
+        const bool want = scan_frozen(tree, eng, d, i);
+        ASSERT_EQ(eng.is_frozen(d, i), want)
+            << "after " << step << ", dir " << d << " file " << i;
+        if (want) ++frozen_seen;
+      }
+    }
+  };
+  const auto tick_until_frozen = [&] {
+    for (int t = 0; t < 40 && eng.frozen_subtrees().empty(); ++t) {
+      eng.tick();
+      expect_index_matches("tick");
+    }
+    ASSERT_FALSE(eng.frozen_subtrees().empty());
+  };
+
+  // Seven tasks from exporter 0 against two in-flight slots, whole-dir and
+  // frag units interleaved.
+  const std::pair<fs::SubtreeRef, MdsId> plan[] = {
+      {{.dir = dirs[0]}, 1},           {{.dir = dirs[4], .frag = 0}, 2},
+      {{.dir = dirs[1]}, 2},           {{.dir = dirs[5], .frag = 1}, 3},
+      {{.dir = dirs[2]}, 3},           {{.dir = dirs[4], .frag = 1}, 1},
+      {{.dir = dirs[3]}, 2},
+  };
+  for (const auto& [ref, to] : plan) {
+    ASSERT_TRUE(eng.submit(ref, to));
+    expect_index_matches("submit");
+  }
+
+  tick_until_frozen();
+  ASSERT_GE(eng.force_abort_active(), 1u);  // rolls frozen tasks back
+  expect_index_matches("force_abort_active");
+
+  tick_until_frozen();
+  const auto frozen_task = std::find_if(
+      eng.tasks().begin(), eng.tasks().end(),
+      [&](const ExportTask& t) { return t.frozen(p.freeze_fraction); });
+  ASSERT_NE(frozen_task, eng.tasks().end());
+  ASSERT_GE(eng.abort_involving(frozen_task->to), 1u);  // a crashed importer
+  expect_index_matches("abort_involving");
+
+  tick_until_frozen();
+  const std::size_t queued_to_3 = static_cast<std::size_t>(
+      std::count_if(eng.tasks().begin(), eng.tasks().end(),
+                    [](const ExportTask& t) { return !t.active && t.to == 3; }));
+  EXPECT_EQ(eng.abort_queued_imports(3), queued_to_3);
+  expect_index_matches("abort_queued_imports");
+  eng.drop_queued(0);
+  expect_index_matches("drop_queued");
+
+  for (int t = 0; t < 60 && !eng.tasks().empty(); ++t) {
+    eng.tick();
+    expect_index_matches("tick");
+  }
+  EXPECT_TRUE(eng.tasks().empty());
+  EXPECT_TRUE(eng.frozen_subtrees().empty());
+  EXPECT_GT(frozen_seen, 0u);
 }
 
 }  // namespace

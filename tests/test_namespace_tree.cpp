@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 namespace lunule::fs {
 namespace {
 
@@ -157,6 +161,27 @@ TEST_F(NamespaceTreeTest, SubtreeRootsListsPins) {
   ASSERT_EQ(roots.size(), 2u);  // "/" and "a"
   EXPECT_EQ(roots[0], tree.root());
   EXPECT_EQ(roots[1], a);
+}
+
+TEST_F(NamespaceTreeTest, ChildrenStayAscendingUnderInterleavedAdds) {
+  // AccessRecorder binary-searches children(); that needs ascending ids
+  // even when several parents grow in turn.
+  const DirId a = tree.add_dir(tree.root(), "a");
+  const DirId b = tree.add_dir(tree.root(), "b");
+  const DirId c = tree.add_dir(a, "c");
+  for (int k = 0; k < 300; ++k) {
+    const std::string name = "n" + std::to_string(k);
+    tree.add_dir(k % 3 == 0 ? a : (k % 3 == 1 ? b : c), name);
+    if (k % 5 == 0) tree.add_dir(tree.root(), name);
+  }
+  for (DirId d = 0; d < tree.dir_count(); ++d) {
+    const std::vector<DirId>& kids = tree.dir(d).children();
+    EXPECT_TRUE(std::is_sorted(kids.begin(), kids.end())) << "dir " << d;
+    EXPECT_EQ(std::adjacent_find(kids.begin(), kids.end()), kids.end())
+        << "dir " << d;
+  }
+  EXPECT_EQ(tree.dir(a).children().size(), 101u);  // c + 100
+  EXPECT_EQ(tree.dir(b).children().size(), 100u);
 }
 
 }  // namespace
