@@ -3,8 +3,8 @@
 // reference paths that obs::check_hot_paths audits them against ("off"),
 // at 10k / 100k / 500k / 2M directories with a 1% hot set, plus the
 // worker-pool scaling of the epoch-close fold at 1 / 2 / 4 shards
-// (shards = 1 + pool workers, mirroring the sharded tick engine's
-// sharded_ticks knob).
+// (shards = 1 + pool workers, as the tick engine's sharded_ticks = S runs
+// on S - 1 workers plus the calling thread).
 //
 // Hand-rolled chrono timing (not google-benchmark): each phase is a paired
 // A/B measurement of the same work both ways, and the [SHAPE-CHECK] gates

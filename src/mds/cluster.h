@@ -323,7 +323,7 @@ class MdsCluster {
  private:
   /// Replica management at epoch close (replicate hot frags, drop cold).
   void update_replicas();
-  /// One-level auto-split check after a legacy-path create.
+  /// One-level auto-split check after a create applied without a lane.
   void maybe_autosplit(DirId d);
   /// Merge-time auto-split: re-checks the threshold and splits until it
   /// clears (batched creates can overshoot by more than one level).

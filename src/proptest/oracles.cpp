@@ -228,11 +228,9 @@ OracleResult check_hot_path_equivalence(const sim::ScenarioConfig& cfg) {
 }
 
 OracleResult check_shard_equivalence(const sim::ScenarioConfig& cfg) {
-  // The sharded tick engine's canonical schedule is fixed at S = 1;
-  // higher shard counts only change how many workers execute it, so the
-  // trace and the result must be byte-identical.  (S = 0, the legacy
-  // rotation engine, is a *different* schedule and deliberately not
-  // compared.)
+  // The tick engine's schedule is canonical: the shard count only changes
+  // how many workers execute it, so the trace and the result must be
+  // byte-identical.
   sim::ScenarioConfig one = cfg;
   one.sharded_ticks = 1;
   sim::ScenarioConfig many = cfg;
@@ -315,9 +313,13 @@ OracleResult check_capacity_monotonicity(const sim::ScenarioConfig& cfg) {
   // More hardware must not lose work: with double the per-MDS capacity the
   // cluster completes at least (almost — balancing dynamics shift) as many
   // ops in the same window, and a workload that completed keeps completing.
-  sim::ScenarioConfig hi = cfg;
+  // Both arms run a fixed pool: an autoscaler may rightly trade capacity
+  // for rank-seconds (elasticity_conserves_completed_ops covers it).
+  sim::ScenarioConfig fixed = cfg;
+  fixed.autoscaler = {};
+  sim::ScenarioConfig hi = fixed;
   hi.mds_capacity_iops = cfg.mds_capacity_iops * 2.0;
-  const sim::ScenarioResult base = sim::run_scenario(cfg);
+  const sim::ScenarioResult base = sim::run_scenario(fixed);
   const sim::ScenarioResult doubled = sim::run_scenario(hi);
   if (workload_done(base) && !workload_done(doubled)) {
     std::ostringstream os;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "balancer/dir_hash.h"
@@ -326,9 +327,10 @@ std::unique_ptr<Simulation> make_scenario_with_balancer(
     std::unique_ptr<balancer::Balancer> balancer) {
   LUNULE_CHECK(cfg.n_clients >= 1);
   LUNULE_CHECK(balancer != nullptr);
-  // Throws std::invalid_argument on a malformed plan, before any state is
-  // built — callers (the parallel runner in particular) can catch it.
+  // Throws std::invalid_argument on a malformed plan or shard count, before
+  // any state is built — callers (the parallel runner) can catch it.
   cfg.faults.validate(cfg.n_mds, cfg.max_ticks);
+  if (cfg.sharded_ticks < 1) throw std::invalid_argument("sharded_ticks < 1");
   Rng rng(cfg.seed);
 
   auto tree = std::make_unique<fs::NamespaceTree>();

@@ -122,12 +122,12 @@ struct ScenarioConfig {
   /// a trace was asked for (--trace, or tests that inspect the dump).
   bool capture_trace = false;
 
-  /// Sharded tick engine: 0 (default) keeps the legacy serial client loop;
-  /// S >= 1 partitions each tick's clients by the rank their next op binds
-  /// to and runs the rank streams on up to S threads with deterministic
-  /// lane merging.  Results and traces are byte-identical for every
-  /// S >= 1 (the sharded schedule itself differs from the legacy one).
-  int sharded_ticks = 0;
+  /// Threads running the tick engine (S >= 1; make_scenario rejects
+  /// less).  Each tick's clients are partitioned by the rank their next op
+  /// binds to and the rank streams run on up to S threads with
+  /// deterministic lane merging, so results and traces are byte-identical
+  /// for every S; S = 1 runs inline.
+  int sharded_ticks = 1;
 
   /// Elastic MDS pool (autoscaler.enabled = false by default: all n_mds
   /// ranks serve for the whole run and every trace stays byte-identical to

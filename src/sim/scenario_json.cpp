@@ -341,6 +341,7 @@ ScenarioConfig scenario_config_from_value(const JsonValue& v) {
     cfg.capture_trace = x->as_bool();
   }
   if (const JsonValue* x = v.find("sharded_ticks")) {
+    if (x->as_int() < 1) throw JsonError("sharded_ticks must be >= 1");
     cfg.sharded_ticks = static_cast<int>(x->as_int());
   }
   if (const JsonValue* x = v.find("seed")) {

@@ -1,7 +1,6 @@
 #include "sim/simulation.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/assert.h"
 #include "common/concurrency.h"
@@ -23,6 +22,7 @@ Simulation::Simulation(std::unique_ptr<fs::NamespaceTree> tree,
   LUNULE_CHECK(cluster_ != nullptr);
   LUNULE_CHECK(balancer_ != nullptr);
   LUNULE_CHECK(options_.epoch_ticks >= 1);
+  LUNULE_CHECK(options_.sharded_ticks >= 1);
   if (options_.autoscaler.enabled) {
     autoscaler_ = std::make_unique<mds::Autoscaler>(options_.autoscaler);
   }
@@ -63,15 +63,15 @@ std::vector<double> Simulation::job_completion_seconds() const {
   return out;
 }
 
-void Simulation::run_clients_sharded(WorkerPool& pool) {
+void Simulation::run_clients(WorkerPool& pool) {
   const std::size_t n = clients_.size();
+  if (n == 0) return;
   const std::size_t n_ranks = cluster_->size();
 
   // Binding (serial): each client with a fetched op binds to the rank that
-  // op resolves to; everything else routes through the deferred pass.  The
-  // rotation offset keeps the legacy engine's fairness property — within a
-  // rank stream and within the deferred pass, clients run in the same
-  // rotated order the serial engine would visit them in.
+  // op resolves to; everything else routes through the deferred pass.  Rank
+  // streams and the deferred pass visit clients in (k + tick) mod n order,
+  // so early clients do not permanently win a bottleneck MDS's capacity.
   by_rank_.resize(n_ranks);
   for (auto& bucket : by_rank_) bucket.clear();
   deferred_.assign(n, 0);
@@ -116,17 +116,14 @@ void Simulation::run_clients_sharded(WorkerPool& pool) {
 void Simulation::run() {
   balancer_->setup(*cluster_);
 
-  // Sharded engine: one persistent pool for the whole run, sized by the
-  // process-wide budget (a starved grant degrades to inline execution with
-  // identical results).  The cluster shares the pool for its own parallel
-  // phases (epoch-close fold, candidate collection).
-  std::optional<ConcurrencyGrant> grant;
-  std::unique_ptr<WorkerPool> pool;
-  if (options_.sharded_ticks >= 1) {
-    grant.emplace(static_cast<std::size_t>(options_.sharded_ticks) - 1);
-    pool = std::make_unique<WorkerPool>(grant->granted());
-    cluster_->set_shard_pool(pool.get());
-  }
+  // One persistent pool for the whole run: S - 1 workers plus the calling
+  // thread, sized by the process-wide budget (S = 1, or a starved grant,
+  // runs inline with identical results).  The cluster shares the pool for
+  // its own parallel phases (epoch-close fold, candidate collection).
+  const ConcurrencyGrant grant(
+      static_cast<std::size_t>(options_.sharded_ticks) - 1);
+  WorkerPool pool(grant.granted());
+  cluster_->set_shard_pool(&pool);
 
   for (now_ = 0; now_ < options_.max_ticks; ++now_) {
     // Fire events scheduled for this tick.  They are detached first, so an
@@ -146,17 +143,7 @@ void Simulation::run() {
     cluster_->begin_tick(now_);
     if (data_) data_->begin_tick();
 
-    if (pool != nullptr && !clients_.empty()) {
-      run_clients_sharded(*pool);
-    } else {
-      // Rotate the service order so early clients do not permanently win
-      // the race for the bottleneck MDS's capacity.
-      const std::size_t n = clients_.size();
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t idx = (k + static_cast<std::size_t>(now_)) % n;
-        clients_[idx]->run_tick(*cluster_, data_.get(), now_);
-      }
-    }
+    run_clients(pool);
     cluster_->end_tick();
     // Rank-seconds billed this tick: the cost meter both fixed and elastic
     // pools are compared on.
@@ -205,7 +192,7 @@ void Simulation::run() {
   }
   end_tick_ = now_;
   // The pool dies with this frame; the cluster must not keep the pointer.
-  if (pool != nullptr) cluster_->set_shard_pool(nullptr);
+  cluster_->set_shard_pool(nullptr);
   // A run that gets here survived every epoch audit; say so when auditing
   // was requested, so "validation on and silent" is distinguishable from
   // "validation never ran".

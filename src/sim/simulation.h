@@ -1,11 +1,11 @@
 // The discrete-time simulation engine.
 //
 // Time advances in ticks of one simulated second.  Each tick the clients
-// run in a rotating order (so no client systematically wins the capacity
-// race), the migration engine streams in-flight exports, and every
-// `epoch_ticks` ticks the epoch closes: loads are sampled, metrics are
-// collected, and the balancer gets its chance to react — exactly the
-// paper's 10-second re-balance cadence.
+// run grouped by rank in a rotating order (so no client systematically
+// wins the capacity race), the migration engine streams in-flight exports,
+// and every `epoch_ticks` ticks the epoch closes: loads are sampled,
+// metrics are collected, and the balancer gets its chance to react —
+// exactly the paper's 10-second re-balance cadence.
 //
 // Scheduled events support the dynamic experiments: adding an MDS at
 // minute 10/20 (Fig. 12a) or launching extra client waves (Fig. 12b).
@@ -44,15 +44,15 @@ class Simulation {
     /// ended after ~15 minutes.
     bool stop_on_memory_limit = false;
     mds::MemoryParams memory;
-    /// Tick-engine selection.  0 (default) runs the legacy serial client
-    /// loop.  S >= 1 runs the sharded engine: clients are partitioned by
-    /// the rank their next operation binds to, rank streams execute on up
-    /// to S threads with per-rank effect lanes, lanes merge in ascending
-    /// rank order, and clients the binding could not place (or that paused
-    /// mid-stream) finish in a serial deferred pass.  The schedule is
-    /// canonical — results and traces are byte-identical for every S >= 1
-    /// and any number of actually-granted worker threads.
-    int sharded_ticks = 0;
+    /// Threads executing the tick engine (S >= 1; S = 1 runs inline with no
+    /// workers).  Clients are partitioned by the rank their next operation
+    /// binds to, rank streams execute on up to S threads with per-rank
+    /// effect lanes, lanes merge in ascending rank order, and clients the
+    /// binding could not place (or that paused mid-stream) finish in a
+    /// serial deferred pass.  The schedule is canonical — results and
+    /// traces are byte-identical for every S and any number of
+    /// actually-granted worker threads.
+    int sharded_ticks = 1;
     /// Elastic MDS pool: when `autoscaler.enabled`, an Autoscaler runs at
     /// every epoch boundary (right after the balancer) and may grow or
     /// shrink the serving rank set.  Off by default — disabled runs are
@@ -120,9 +120,9 @@ class Simulation {
   }
 
  private:
-  /// One tick of client execution under the sharded engine (binding,
-  /// parallel rank streams, lane merge, serial deferred pass).
-  void run_clients_sharded(WorkerPool& pool);
+  /// One tick of client execution (binding, parallel rank streams, lane
+  /// merge, serial deferred pass).
+  void run_clients(WorkerPool& pool);
 
   std::unique_ptr<fs::NamespaceTree> tree_;
   std::unique_ptr<mds::MdsCluster> cluster_;
@@ -137,7 +137,7 @@ class Simulation {
   std::unique_ptr<mds::Autoscaler> autoscaler_;
   obs::InvariantChecker invariants_;
   std::uint64_t rank_seconds_ = 0;
-  /// Sharded-engine scratch, reused across ticks.
+  /// Tick-engine scratch, reused across ticks.
   std::vector<mds::TickLane> lanes_;
   std::vector<std::vector<std::size_t>> by_rank_;
   std::vector<std::uint8_t> deferred_;

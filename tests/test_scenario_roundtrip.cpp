@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/json.h"
+#include "sim/scenario.h"
 
 namespace lunule::sim {
 namespace {
@@ -155,6 +158,20 @@ TEST(ScenarioRoundtrip, MalformedValuesAreRejected) {
   EXPECT_THROW(scenario_config_from_json(R"({"n_mds": -2})"), JsonError);
   EXPECT_THROW(scenario_config_from_json(R"({"n_mds": 2.5})"), JsonError);
   EXPECT_THROW(scenario_config_from_json(R"({"seed": "12x"})"), JsonError);
+}
+
+TEST(ScenarioRoundtrip, ShardCountBelowOneIsRejected) {
+  // S is the tick engine's thread count; there is no S = 0 engine.
+  EXPECT_EQ(scenario_config_from_json("{}").sharded_ticks, 1);
+  EXPECT_THROW(scenario_config_from_json(R"({"sharded_ticks": 0})"),
+               JsonError);
+  EXPECT_THROW(scenario_config_from_json(R"({"sharded_ticks": -2})"),
+               JsonError);
+  for (const int shards : {0, -1}) {
+    ScenarioConfig cfg;
+    cfg.sharded_ticks = shards;
+    EXPECT_THROW((void)make_scenario(cfg), std::invalid_argument);
+  }
 }
 
 TEST(ScenarioRoundtrip, LoadedFaultPlanStillValidates) {

@@ -1,12 +1,12 @@
-// Equivalence suite for the deterministic sharded tick engine.
+// Equivalence suite for the deterministic tick engine.
 //
-// The sharded engine partitions each tick's client work by current MDS
-// authority, runs the per-rank streams on a worker pool, and merges the
-// escrowed effects in fixed rank order.  That merge discipline is the
-// whole determinism story, so the contract under test is exact: for every
-// scenario, sharded_ticks = 1, 2 and 4 must produce a byte-identical
-// flight-recorder trace and identical headline results.  (S = 1 is the
-// canonical schedule; S >= 2 only changes how many workers execute it.)
+// The engine partitions each tick's client work by current MDS authority,
+// runs the per-rank streams on a worker pool, and merges the escrowed
+// effects in fixed rank order.  That merge discipline is the whole
+// determinism story, so the contract under test is exact: for every
+// scenario, sharded_ticks = 1 (the default, inline), 2 and 4 must produce a
+// byte-identical flight-recorder trace and identical headline results —
+// the shard count only changes how many workers execute the schedule.
 // The matrix mirrors test_hotpath_equivalence.cpp — workloads x balancers
 // x faults x journal x replication — and a sweep over the committed
 // proptest repro corpus replays every shrunk once-suspect scenario
@@ -120,6 +120,18 @@ TEST(ShardEquivalence, DataPathClientsAreAllDeferred) {
       small_config(sim::WorkloadKind::kMixed, sim::BalancerKind::kLunule);
   cfg.data_enabled = true;
   expect_shard_equivalent(cfg);
+}
+
+TEST(ShardEquivalence, DefaultConfigRunsTheShardInvariantEngine) {
+  // With S left at its default, a scenario must trace exactly as it does on
+  // four threads: the default is the one tick engine, not a separate
+  // schedule.
+  sim::ScenarioConfig cfg =
+      small_config(sim::WorkloadKind::kMixed, sim::BalancerKind::kLunule);
+  cfg.capture_trace = true;
+  const sim::ScenarioResult def = sim::run_scenario(cfg);
+  ASSERT_FALSE(def.trace_json.empty());
+  expect_same(def, run_with(cfg, 4), 4);
 }
 
 // -- Committed corpus sweep ------------------------------------------------

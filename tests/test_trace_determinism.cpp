@@ -62,8 +62,12 @@ std::uint64_t fnv1a64(std::string_view bytes) {
 }
 
 // Pinned trace digest: disabled tiers must be dark silicon.  The constant
-// below is the trace digest of this exact scenario from the build *before*
-// the proxy tier existed; a run with the proxy off and the journal off with
+// below is the trace digest of this exact scenario on the tick engine the
+// default now runs (S = 1), taken from the build just before the serial
+// rotation loop was deleted with `sharded_ticks = 1` set on the scenario —
+// so it also proves that deleting the loop left S = 1 untouched.  The
+// constant it replaced was pinned before the proxy tier existed, on the old
+// default loop.  A run with the proxy off and the journal off with
 // async_mode off (the defaults) must still hash to it, and neither tier may
 // count anything.  dep_seq stamping runs in every journal mode but lives
 // outside the trace, so it must not move this value either.  If an
@@ -77,7 +81,7 @@ TEST(TraceDeterminism, ProxyDisabledTraceMatchesPinnedPreProxyDigest) {
   ASSERT_FALSE(cfg.journal.async_mode);
   const ScenarioResult r = run_scenario(cfg);
   ASSERT_FALSE(r.trace_json.empty());
-  EXPECT_EQ(fnv1a64(r.trace_json), 0x51e3506e66756352ull);
+  EXPECT_EQ(fnv1a64(r.trace_json), 0xcd2b36bbeccaef0bull);
   EXPECT_EQ(r.proxy_reads_absorbed, 0u);
   EXPECT_EQ(r.proxy_lease_grants, 0u);
   EXPECT_EQ(r.proxy_promotions, 0u);
